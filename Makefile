@@ -18,14 +18,17 @@ verify: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
-# lint always runs mixplint (the in-repo multichecker: typedepcheck, the
-# determinism analyzers, and the soundness suite — puritycheck, keycheck,
-# fsyncpath; see DESIGN.md "Static analysis"), then staticcheck and
-# govulncheck when they are installed — verify works on machines without
-# the external tools; CI installs both and runs them unconditionally.
-# New analyzers registered in cmd/mixplint are picked up here
-# automatically.
+# lint first fails on any Go file gofmt would rewrite (testdata/ is
+# exempt: analyzer fixtures keep their layout), then always runs mixplint
+# (the in-repo multichecker: typedepcheck, the determinism analyzers, and
+# the soundness suite — puritycheck, keycheck, fsyncpath; see DESIGN.md
+# "Static analysis"), then staticcheck and govulncheck when they are
+# installed — verify works on machines without the external tools; CI
+# installs both and runs them unconditionally. New analyzers registered
+# in cmd/mixplint are picked up here automatically.
 lint:
+	@unformatted=$$(gofmt -l $$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*')); \
+	if [ -n "$$unformatted" ]; then echo "lint: gofmt -l flags:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/mixplint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "lint: staticcheck not installed, skipping"; fi
@@ -50,10 +53,10 @@ tables:
 
 # bench runs the performance suite 5 times with allocation stats: the tape
 # and cache micro-benchmarks plus the campaign pairs - shared-vs-cold
-# cache (BenchmarkCampaignSharedCache / BenchmarkCampaignColdCache),
-# compiled-vs-interpreted evaluation (BenchmarkCampaignCompiled /
-# BenchmarkCampaignInterpreted), and two-vs-three-rung ladder depth
-# (BenchmarkCampaignLadder2 / BenchmarkCampaignLadder3). The campaign
+# cache (BenchmarkCampaignSharedCache / BenchmarkCampaignColdCache; the
+# cold side runs every proposal through its compiled kernel) and
+# two-vs-three-rung ladder depth (BenchmarkCampaignLadder2 /
+# BenchmarkCampaignLadder3). The campaign
 # benchmarks pin -benchtime=5x so both halves of each pair do identical
 # work and the numbers compare across runs. Raw output lands in
 # artifacts/, then benchjson aggregates it into the machine-readable
@@ -91,8 +94,8 @@ store-smoke:
 
 # bench-smoke compiles and runs every benchmark once (CI's guard against
 # benchmark rot; no timing value). The BenchmarkCampaign pattern covers
-# BenchmarkCampaignCompiled and BenchmarkCampaignInterpreted, so both
-# evaluation paths are exercised end to end.
+# every campaign benchmark - shared and cold cache, two- and three-rung
+# ladders - so the compiled evaluation path runs end to end.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/mp ./internal/bench ./internal/runcache
 	$(GO) test -run '^$$' -bench 'BenchmarkCampaign' -benchtime=1x .

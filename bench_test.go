@@ -94,33 +94,12 @@ func BenchmarkCampaignSharedCache(b *testing.B) {
 
 // BenchmarkCampaignColdCache measures the same kernel campaign with
 // caching disabled: every job re-executes every configuration it
-// proposes, as the pre-cache harness did.
+// proposes, as the pre-cache harness did, so every proposal runs through
+// its compiled kernel. This is the campaign number EXPERIMENTS.md tracks
+// for the evaluation path.
 func BenchmarkCampaignColdCache(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		report.Run(report.Options{Workers: 2, KernelsOnly: true, NoCache: true})
-	}
-}
-
-// BenchmarkCampaignCompiled and BenchmarkCampaignInterpreted are the
-// compiled-evaluation speedup pair: the identical kernel campaign (60
-// jobs, run cache off so every proposed configuration actually executes),
-// evaluated through precision-specialized compiled kernels versus fresh
-// interpreted tapes. Both produce byte-identical studies (locked by the
-// bench and harness equivalence tests); the ratio of their ns/op is the
-// compiler's campaign-level speedup, recorded in EXPERIMENTS.md and
-// artifacts/comparison.md. Run with a pinned -benchtime (see `make
-// bench`) so the two sides measure the same amount of work.
-func BenchmarkCampaignCompiled(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report.Run(report.Options{Workers: 2, KernelsOnly: true, NoCache: true})
-	}
-}
-
-// BenchmarkCampaignInterpreted is the interpreted side of the pair; see
-// BenchmarkCampaignCompiled.
-func BenchmarkCampaignInterpreted(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report.Run(report.Options{Workers: 2, KernelsOnly: true, NoCache: true, Interpreted: true})
 	}
 }
 

@@ -9,13 +9,12 @@
 //
 //	go test -run '^$' -bench . -benchmem -count=5 ./... | benchjson -out BENCH_8.json
 //
-// With -comparison, it also maintains the "Compiled vs interpreted
-// evaluation" section of the comparison artifact: the campaign
-// benchmark pair (BenchmarkCampaignCompiled / BenchmarkCampaignInterpreted)
-// side by side with the measured speedup, replacing the section in
-// place when it exists and appending it otherwise, so `make tables`
-// regenerating the rest of the file and `make bench` refreshing this
-// section commute.
+// With -comparison, it also maintains the benchmark-pair sections of the
+// comparison artifact - today the "Ladder depth cost" pair
+// (BenchmarkCampaignLadder2 / BenchmarkCampaignLadder3) side by side
+// with the measured cost ratio - replacing each section in place when it
+// exists and appending it otherwise, so `make tables` regenerating the
+// rest of the file and `make bench` refreshing these sections commute.
 package main
 
 import (
@@ -49,7 +48,7 @@ type Report struct {
 func main() {
 	var (
 		out        = flag.String("out", "-", `output path for the JSON artifact ("-" = stdout)`)
-		comparison = flag.String("comparison", "", "markdown file whose compiled-vs-interpreted section to update")
+		comparison = flag.String("comparison", "", "markdown file whose benchmark-pair sections to update")
 	)
 	flag.Parse()
 	if err := run(*out, *comparison, flag.Args()); err != nil {
@@ -183,18 +182,6 @@ type pairSpec struct {
 // pairs lists the comparison sections `make bench` maintains (see
 // bench_test.go for each benchmark pair's definition).
 var pairs = []pairSpec{
-	{
-		header: "## Compiled vs interpreted evaluation",
-		intro: "One identical kernel campaign (2 workers, run cache off), evaluated\n" +
-			"through precision-specialized compiled kernels vs the interpreted\n" +
-			"tape. Outputs are byte-identical; only wall-clock moves.\n",
-		column:     "Evaluation path",
-		baseBench:  "BenchmarkCampaignCompiled",
-		baseLabel:  "compiled",
-		otherBench: "BenchmarkCampaignInterpreted",
-		otherLabel: "interpreted",
-		ratioLabel: "Speedup (interpreted / compiled)",
-	},
 	{
 		header: "## Ladder depth cost",
 		intro: "One kernel campaign (2 workers, shared run cache) over the paper's\n" +

@@ -90,7 +90,6 @@ func main() {
 		storeDir    = flag.String("store", "", "with -config: durable result store directory; executions persist in DIR/results and later campaigns reuse them")
 		storeStats  = flag.String("store-stats", "", `with -config and -store: write the store's stats as JSON on exit ("-" = stdout)`)
 		timeout     = flag.Float64("timeout", 0, "wall-clock deadline in seconds for -config or -tune (0 = none); expiry exits with code 4")
-		compiled    = flag.Bool("compiled", true, "evaluate configurations through precision-specialized compiled kernels (-compiled=false interprets; results are identical)")
 		precisions  = flag.String("precisions", "", `precision ladder to search, e.g. "f64,f32,bf16" (default: the two-level double/single study)`)
 		objective   = flag.String("objective", "", `analysis objective: "threshold" (default) or "pareto" (records the time/energy/error Pareto front)`)
 	)
@@ -99,7 +98,6 @@ func main() {
 	cf := campaignFlags{
 		workers:     *workers,
 		seed:        *seed,
-		interpreted: !*compiled,
 		precisions:  *precisions,
 		objective:   *objective,
 		timeout:     *timeout,
@@ -134,7 +132,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		canceled, err := tuneOne(ctx, os.Stdout, *tune, *algorithm, *threshold, *seed, *evallog, !*compiled, *precisions, *objective, tel)
+		canceled, err := tuneOne(ctx, os.Stdout, *tune, *algorithm, *threshold, *seed, *evallog, *precisions, *objective, tel)
 		if err != nil {
 			fatal(err)
 		}
@@ -199,7 +197,6 @@ func deadlineContext(seconds float64) (context.Context, context.CancelFunc) {
 type campaignFlags struct {
 	workers     int
 	seed        int64
-	interpreted bool
 	precisions  string
 	objective   string
 	timeout     float64
@@ -479,20 +476,19 @@ func listBenchmarks(w io.Writer) {
 	}
 }
 
-func tuneOne(ctx context.Context, w io.Writer, name, algorithm string, threshold float64, seed int64, evallog, interpreted bool, precisions, objective string, tel *mixpbench.Telemetry) (canceled bool, err error) {
+func tuneOne(ctx context.Context, w io.Writer, name, algorithm string, threshold float64, seed int64, evallog bool, precisions, objective string, tel *mixpbench.Telemetry) (canceled bool, err error) {
 	b, err := mixpbench.Benchmark(name)
 	if err != nil {
 		return false, err
 	}
 	res, err := mixpbench.TuneContext(ctx, b, mixpbench.TuneOptions{
-		Algorithm:   algorithm,
-		Threshold:   threshold,
-		Seed:        seed,
-		Trace:       evallog,
-		Telemetry:   tel,
-		Interpreted: interpreted,
-		Precisions:  precisions,
-		Objective:   objective,
+		Algorithm:  algorithm,
+		Threshold:  threshold,
+		Seed:       seed,
+		Trace:      evallog,
+		Telemetry:  tel,
+		Precisions: precisions,
+		Objective:  objective,
 	})
 	if err != nil {
 		return false, err
@@ -579,7 +575,6 @@ func runConfig(ctx context.Context, w io.Writer, path string, cf campaignFlags, 
 		Retry:          retry,
 		CheckpointPath: cf.checkpoint,
 		ResumePath:     cf.resume,
-		Interpreted:    cf.interpreted,
 		Precisions:     cf.precisions,
 		Objective:      cf.objective,
 	}

@@ -43,7 +43,7 @@ func TestExportSpaceJSON(t *testing.T) {
 
 func TestTuneOneWithEvalLog(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := tuneOne(context.Background(), &buf, "hydro-1d", "DD", 1e-8, 0, true, false, "", "", nil); err != nil {
+	if _, err := tuneOne(context.Background(), &buf, "hydro-1d", "DD", 1e-8, 0, true, "", "", nil); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -52,7 +52,7 @@ func TestTuneOneWithEvalLog(t *testing.T) {
 			t.Errorf("tune output missing %q:\n%s", frag, out)
 		}
 	}
-	if _, err := tuneOne(context.Background(), &buf, "hydro-1d", "annealing", 1e-8, 0, false, false, "", "", nil); err == nil {
+	if _, err := tuneOne(context.Background(), &buf, "hydro-1d", "annealing", 1e-8, 0, false, "", "", nil); err == nil {
 		t.Error("expected error for unknown algorithm")
 	}
 }
@@ -92,7 +92,7 @@ func TestTuneOneEmitsTelemetry(t *testing.T) {
 	sink := mixpbench.NewJSONLSink(&events)
 	tel := mixpbench.NewTelemetry(sink)
 	var out bytes.Buffer
-	if _, err := tuneOne(context.Background(), &out, "hydro-1d", "DD", 1e-8, 0, false, false, "", "", tel); err != nil {
+	if _, err := tuneOne(context.Background(), &out, "hydro-1d", "DD", 1e-8, 0, false, "", "", tel); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Close(); err != nil {
@@ -356,7 +356,7 @@ func TestOpenTelemetryWritesFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if _, err := tuneOne(context.Background(), &out, "iccg", "GP", 1e-8, 0, false, false, "", "", tel); err != nil {
+	if _, err := tuneOne(context.Background(), &out, "iccg", "GP", 1e-8, 0, false, "", "", tel); err != nil {
 		t.Fatal(err)
 	}
 	if err := closeTel(); err != nil {

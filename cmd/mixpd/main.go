@@ -9,7 +9,7 @@
 // Usage:
 //
 //	mixpd [-addr :8177] [-workers N] [-concurrent M] [-queue D]
-//	      [-access-log] [-pprof] [-compiled=false]
+//	      [-access-log] [-pprof] [-store DIR]
 //
 // Observability: every route is wrapped with per-route request metrics
 // (GET /metrics, text exposition); -access-log adds one JSON line per
@@ -60,10 +60,9 @@ func main() {
 		accessLog    = flag.Bool("access-log", false, "log one JSON line per HTTP request on stderr")
 		pprof        = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 		storeDir     = flag.String("store", "", "durable state directory: results persist in DIR/results, campaign history in DIR/campaigns, both surviving restarts")
-		compiled     = flag.Bool("compiled", true, "evaluate configurations through precision-specialized compiled kernels (-compiled=false interprets; results are identical, see /cachediag's compile section)")
 	)
 	flag.Parse()
-	if err := run(*addr, *workers, *concurrent, *queue, *drainSeconds, *accessLog, *pprof, *compiled, *storeDir); err != nil {
+	if err := run(*addr, *workers, *concurrent, *queue, *drainSeconds, *accessLog, *pprof, *storeDir); err != nil {
 		fmt.Fprintln(os.Stderr, "mixpd:", err)
 		os.Exit(1)
 	}
@@ -93,7 +92,7 @@ func openService(storeDir string, opts engine.Options) (*engine.Engine, *store.S
 }
 
 // run wires the engine, the HTTP server, and the signal-driven drain.
-func run(addr string, workers, concurrent, queue, drainSeconds int, accessLog, pprof, compiled bool, storeDir string) error {
+func run(addr string, workers, concurrent, queue, drainSeconds int, accessLog, pprof bool, storeDir string) error {
 	if workers < 0 || concurrent < 0 || queue < 0 || drainSeconds < 0 {
 		return fmt.Errorf("-workers, -concurrent, -queue, and -drain-seconds must be >= 0")
 	}
@@ -106,7 +105,7 @@ func run(addr string, workers, concurrent, queue, drainSeconds int, accessLog, p
 		return err
 	}
 	defer st.Close() // nil-safe; final flush for the no-drain exit paths
-	sopts := serverOptions{pprof: pprof, store: st, interpreted: !compiled}
+	sopts := serverOptions{pprof: pprof, store: st}
 	if accessLog {
 		sopts.accessLog = os.Stderr
 	}

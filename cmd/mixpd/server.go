@@ -29,10 +29,6 @@ type serverOptions struct {
 	// store is the optional durable result store behind the shared run
 	// cache; /healthz and /cachediag report its health and traffic.
 	store *store.Store
-	// interpreted is the -compiled=false escape hatch: every campaign
-	// evaluates on the interpreter instead of precision-specialized
-	// kernels. Per-submission ?compiled= overrides it.
-	interpreted bool
 }
 
 // newServer builds the HTTP API over one engine:
@@ -44,10 +40,7 @@ type serverOptions struct {
 //	GET  /metrics                  server-wide request metrics (text exposition)
 //	GET  /campaigns                all statuses, submission order
 //	POST /campaigns                submit a YAML campaign (the body);
-//	                               ?name= ?seed= ?workers= optional;
-//	                               ?compiled=false interprets this one
-//	                               campaign (?compiled=true forces the
-//	                               kernels back on under -compiled=false)
+//	                               ?name= ?seed= ?workers= optional
 //	GET  /campaigns/{id}           one status
 //	POST /campaigns/{id}/cancel    cancel (idempotent); returns status
 //	GET  /campaigns/{id}/results   finished jobs so far, job order
@@ -85,7 +78,7 @@ func newServer(e *engine.Engine, opts serverOptions) http.Handler {
 		writeJSON(w, http.StatusOK, e.Statuses())
 	})
 	handle("POST /campaigns", func(w http.ResponseWriter, r *http.Request) {
-		submit(e, opts.interpreted, w, r)
+		submit(e, w, r)
 	})
 	handle("GET /campaigns/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, err := e.Status(r.PathValue("id"))
@@ -203,9 +196,8 @@ func serveProfile(e *engine.Engine, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, p)
 }
 
-// submit handles POST /campaigns. interpreted is the server-wide
-// -compiled=false default; ?compiled= overrides it per campaign.
-func submit(e *engine.Engine, interpreted bool, w http.ResponseWriter, r *http.Request) {
+// submit handles POST /campaigns.
+func submit(e *engine.Engine, w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxCampaignBytes+1))
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "read body: " + err.Error()})
@@ -216,15 +208,7 @@ func submit(e *engine.Engine, interpreted bool, w http.ResponseWriter, r *http.R
 			errorBody{Error: fmt.Sprintf("campaign configuration exceeds %d bytes", maxCampaignBytes)})
 		return
 	}
-	opts := engine.SubmitOptions{Name: r.URL.Query().Get("name"), Interpreted: interpreted}
-	if s := r.URL.Query().Get("compiled"); s != "" {
-		compiled, err := strconv.ParseBool(s)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad compiled: must be a boolean"})
-			return
-		}
-		opts.Interpreted = !compiled
-	}
+	opts := engine.SubmitOptions{Name: r.URL.Query().Get("name")}
 	if s := r.URL.Query().Get("seed"); s != "" {
 		if opts.Seed, err = strconv.ParseInt(s, 10, 64); err != nil {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad seed: " + err.Error()})

@@ -378,7 +378,7 @@ func TestServerErrors(t *testing.T) {
 // port and checks a SIGTERM drains it to a clean exit.
 func TestServerSIGTERMDrains(t *testing.T) {
 	done := make(chan error, 1)
-	go func() { done <- run("127.0.0.1:0", 1, 1, 1, 30, false, false, true, "") }()
+	go func() { done <- run("127.0.0.1:0", 1, 1, 1, 30, false, false, "") }()
 	// Give run() time to install its signal handler; before that a
 	// SIGTERM would kill the test process outright.
 	time.Sleep(250 * time.Millisecond)
@@ -398,7 +398,7 @@ func TestServerSIGTERMDrains(t *testing.T) {
 // TestValidateServeFlags rejects nonsense flag values.
 func TestValidateServeFlags(t *testing.T) {
 	for _, bad := range [][4]int{{-1, 1, 1, 1}, {0, -1, 1, 1}, {0, 1, -1, 1}, {0, 1, 1, -1}} {
-		err := run("127.0.0.1:0", bad[0], bad[1], bad[2], bad[3], false, false, true, "")
+		err := run("127.0.0.1:0", bad[0], bad[1], bad[2], bad[3], false, false, "")
 		if err == nil {
 			t.Errorf("run accepted flags %v", bad)
 		}

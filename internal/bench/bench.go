@@ -100,9 +100,10 @@ func hiddenVars(b Benchmark) int {
 // draws and bulk array initialisations in Run never depends on the
 // precision configuration (every port of the suite draws its inputs in a
 // configuration-independent prefix of Run). Declaring it lets the
-// compiled path record one input stream per (benchmark, seed) and replay
-// it across every configuration and semantics tier; benchmarks without
-// the declaration still compile, they just regenerate inputs each run.
+// compiled kernels record one input stream per (benchmark, seed) and
+// replay it across every configuration and semantics tier; benchmarks
+// without the declaration still compile, they just regenerate inputs
+// each run.
 type PureIniter interface {
 	// PureInit reports whether input generation is seed-pure.
 	PureInit() bool
@@ -299,7 +300,7 @@ type Runner struct {
 	// Cache, when non-nil, memoises executions process-wide: a
 	// configuration already executed under the same benchmark, seed,
 	// demotion semantics, and machine model is served from the shared
-	// store instead of being interpreted again. Every run is a pure
+	// store instead of being executed again. Every run is a pure
 	// function of that key, so the served Result is byte-identical to a
 	// fresh execution - callers keep charging simulated build+run seconds
 	// per call and keep observing per-run telemetry, which is what makes
@@ -308,25 +309,19 @@ type Runner struct {
 	// Cache; the machine model is part of the key, so runners with
 	// different models coexist safely.
 	Cache *Cache
-	// Compiled routes executions that the run cache does not serve
-	// through precision-specialized compiled kernels (internal/compile)
-	// instead of a fresh interpreted tape. Results are byte-identical
-	// either way - outputs, costs, profiles, measurements; the toggle
-	// exists as an escape hatch and for benchmarking the compiler itself.
-	// NewRunner enables it; the zero Runner interprets.
-	Compiled bool
-	// Compiler is the compile cache used when Compiled is set. Nil means
-	// the process-wide shared compiler, which maximises kernel reuse
-	// across campaigns and tenants (the machine-model fingerprint keyed
-	// into every kernel keeps different models apart).
+	// Compiler is the compile cache that executions the run cache does
+	// not serve take their precision-specialized kernel from
+	// (internal/compile). Nil means the process-wide shared compiler,
+	// which maximises kernel reuse across campaigns and tenants (the
+	// machine-model fingerprint keyed into every kernel keeps different
+	// models apart).
 	Compiler *compile.Compiler
 }
 
 // NewRunner returns a Runner with the default machine, the paper's
-// ten-repetition protocol, the given workload seed, and compiled
-// evaluation on.
+// ten-repetition protocol, and the given workload seed.
 func NewRunner(seed int64) *Runner {
-	return &Runner{Machine: perfmodel.Default(), Runs: perfmodel.DefaultRuns, Seed: seed, Compiled: true}
+	return &Runner{Machine: perfmodel.Default(), Runs: perfmodel.DefaultRuns, Seed: seed}
 }
 
 // sharedCompiler is the process-wide compile cache runners fall back to:
@@ -353,34 +348,24 @@ func (p program) PureInit() bool {
 }
 func (p program) Exec(t *mp.Tape, seed int64) []float64 { return p.b.Run(t, seed).Values }
 
-// executeCompiled runs one configuration through its compiled kernel,
-// assembling the Result exactly as the interpreted executors do. name is
-// the jitter-stream identity (the benchmark name, with the "/ir" suffix
-// under IR semantics).
-func (r *Runner) executeCompiled(b Benchmark, sem runcache.Semantics, name string, cfg Config) Result {
-	prog := program{b}
-	k := r.compiler().Compile(compile.Key{
+// kernel returns the compiled kernel for one configuration under
+// semantics sem, specializing it on first use.
+func (r *Runner) kernel(b Benchmark, sem runcache.Semantics, cfg Config) *compile.Kernel {
+	return r.compiler().Compile(compile.Key{
 		Bench:     b.Name(),
 		Semantics: sem,
 		Model:     r.modelFingerprint(),
 		Config:    cfg.Key(),
-	}, prog, cfg, r.Machine.Time, r.Machine.Energy)
-	if k.NumSites() != prog.NumSites() {
-		// A benchmark-name collision across distinct shapes (only test
-		// doubles do this; names identify suite benchmarks). Interpret
-		// rather than run on a mis-sized tape.
-		k = nil
-	}
-	if k == nil {
-		if sem == runcache.IR {
-			return r.interpretIR(b, cfg)
-		}
-		if len(cfg) == prog.NumSites() && len(cfg) > b.Graph().NumVars() {
-			return r.interpretManualSingle(b, cfg)
-		}
-		return r.interpret(b, cfg)
-	}
-	vals, cost, prof := k.Run(prog, r.Seed)
+	}, program{b}, cfg, r.Machine.Time, r.Machine.Energy)
+}
+
+// execute runs one configuration through its compiled kernel (the
+// uncached core of Run, RunIR, and RunManualSingle). name is the
+// jitter-stream identity (the benchmark name, with the "/ir" suffix
+// under IR semantics).
+func (r *Runner) execute(b Benchmark, sem runcache.Semantics, name string, cfg Config) Result {
+	k := r.kernel(b, sem, cfg)
+	vals, cost, prof := k.Run(program{b}, r.Seed)
 	modelTime := k.Time(cost)
 	rng := rand.New(rand.NewSource(r.jitterSeed(name, cfg)))
 	return Result{
@@ -398,18 +383,10 @@ func (r *Runner) executeCompiled(b Benchmark, sem runcache.Semantics, name strin
 // configuration - by this runner or any other sharing the compiler -
 // starts on a compile-cache hit. Batched evaluation (search.EvaluateBatch)
 // prewarms a population's kernels grouped by shared precision prefix
-// before the evaluation sequence begins. A no-op on interpreting runners;
-// never touches the run cache, the budget, or any result.
+// before the evaluation sequence begins. It never touches the run cache,
+// the budget, or any result.
 func (r *Runner) Prewarm(b Benchmark, cfg Config) {
-	if !r.Compiled {
-		return
-	}
-	r.compiler().Compile(compile.Key{
-		Bench:     b.Name(),
-		Semantics: runcache.Source,
-		Model:     r.modelFingerprint(),
-		Config:    cfg.Key(),
-	}, program{b}, cfg, r.Machine.Time, r.Machine.Energy)
+	r.kernel(b, runcache.Source, cfg)
 }
 
 // Run evaluates one configuration. A nil cfg runs the original program. The
@@ -422,7 +399,7 @@ func (r *Runner) Run(b Benchmark, cfg Config) Result {
 }
 
 // RunContext is Run under a cancellation context: a call that would block
-// on a shared cache's in-flight execution (another tenant is interpreting
+// on a shared cache's in-flight execution (another tenant is executing
 // the same configuration right now) returns the context's error as soon
 // as ctx is done instead of waiting the execution out. Executions this
 // runner leads always complete - a half-run would poison the shared entry
@@ -433,7 +410,7 @@ func (r *Runner) RunContext(ctx context.Context, b Benchmark, cfg Config) (Resul
 	if cfg != nil && len(cfg) != n {
 		panic(fmt.Sprintf("bench: config for %s has %d entries, want %d", b.Name(), len(cfg), n))
 	}
-	res, err := r.memoised(ctx, b, runcache.Source, cfg, func() Result { return r.execute(b, cfg) })
+	res, err := r.memoised(ctx, b, runcache.Source, cfg, func() Result { return r.execute(b, runcache.Source, b.Name(), cfg) })
 	if err != nil {
 		return Result{}, err
 	}
@@ -443,37 +420,6 @@ func (r *Runner) RunContext(ctx context.Context, b Benchmark, cfg Config) (Resul
 	}
 	r.observe(b, kind, res)
 	return res, nil
-}
-
-// execute evaluates one source-level configuration (the uncached core of
-// Run): through the compiled kernel when Compiled is set, interpreting
-// against a fresh tape otherwise.
-func (r *Runner) execute(b Benchmark, cfg Config) Result {
-	if r.Compiled {
-		return r.executeCompiled(b, runcache.Source, b.Name(), cfg)
-	}
-	return r.interpret(b, cfg)
-}
-
-// interpret runs one source-level configuration against a fresh
-// interpreted tape.
-func (r *Runner) interpret(b Benchmark, cfg Config) Result {
-	tape := mp.NewTape(b.Graph().NumVars() + hiddenVars(b))
-	for i, p := range cfg {
-		tape.SetPrec(mp.VarID(i), p)
-	}
-	out := b.Run(tape, r.Seed)
-	cost := tape.Cost()
-	modelTime := r.Machine.Time(cost)
-	rng := rand.New(rand.NewSource(r.jitterSeed(b.Name(), cfg)))
-	return Result{
-		Output:    out,
-		Cost:      cost,
-		Profile:   tape.Profile(),
-		ModelTime: modelTime,
-		Energy:    r.Machine.Energy(cost),
-		Measured:  perfmodel.Measure(modelTime, r.Runs, rng),
-	}
 }
 
 // memoised routes one execution through the shared cache when one is
@@ -568,40 +514,9 @@ func (r *Runner) RunIR(b Benchmark, cfg Config) Result {
 	if cfg != nil && len(cfg) != n {
 		panic(fmt.Sprintf("bench: IR config for %s has %d entries, want %d", b.Name(), len(cfg), n))
 	}
-	res, _ := r.memoised(nil, b, runcache.IR, cfg, func() Result { return r.executeIR(b, cfg) })
+	res, _ := r.memoised(nil, b, runcache.IR, cfg, func() Result { return r.execute(b, runcache.IR, b.Name()+"/ir", cfg) })
 	r.observe(b, "ir", res)
 	return res
-}
-
-// executeIR evaluates one IR-level configuration (the uncached core of
-// RunIR), compiled or interpreted like execute.
-func (r *Runner) executeIR(b Benchmark, cfg Config) Result {
-	if r.Compiled {
-		return r.executeCompiled(b, runcache.IR, b.Name()+"/ir", cfg)
-	}
-	return r.interpretIR(b, cfg)
-}
-
-// interpretIR runs one IR-level configuration against a fresh
-// interpreted tape.
-func (r *Runner) interpretIR(b Benchmark, cfg Config) Result {
-	tape := mp.NewTape(b.Graph().NumVars() + hiddenVars(b))
-	tape.SetComputeOnly(true)
-	for i, p := range cfg {
-		tape.SetPrec(mp.VarID(i), p)
-	}
-	out := b.Run(tape, r.Seed)
-	cost := tape.Cost()
-	modelTime := r.Machine.Time(cost)
-	rng := rand.New(rand.NewSource(r.jitterSeed(b.Name()+"/ir", cfg)))
-	return Result{
-		Output:    out,
-		Cost:      cost,
-		Profile:   tape.Profile(),
-		ModelTime: modelTime,
-		Energy:    r.Machine.Energy(cost),
-		Measured:  perfmodel.Measure(modelTime, r.Runs, rng),
-	}
 }
 
 // RunManualSingle evaluates the whole-program single-precision conversion
@@ -619,41 +534,9 @@ func (r *Runner) RunManualSingle(b Benchmark) Result {
 	// without hidden sites, a searched all-single candidate and the manual
 	// ceiling are one execution.
 	full := AllSingle(n + h)
-	res, _ := r.memoised(nil, b, runcache.Source, full, func() Result { return r.executeManualSingle(b, full) })
+	res, _ := r.memoised(nil, b, runcache.Source, full, func() Result { return r.execute(b, runcache.Source, b.Name(), full) })
 	r.observe(b, "manual-single", res)
 	return res
-}
-
-// executeManualSingle evaluates the whole-program conversion (the
-// uncached core of RunManualSingle), compiled or interpreted like
-// execute. full is the expanded all-single configuration including
-// hidden sites.
-func (r *Runner) executeManualSingle(b Benchmark, full Config) Result {
-	if r.Compiled {
-		return r.executeCompiled(b, runcache.Source, b.Name(), full)
-	}
-	return r.interpretManualSingle(b, full)
-}
-
-// interpretManualSingle runs the whole-program conversion against a
-// fresh interpreted tape.
-func (r *Runner) interpretManualSingle(b Benchmark, full Config) Result {
-	tape := mp.NewTape(len(full))
-	for i := range full {
-		tape.SetPrec(mp.VarID(i), mp.F32)
-	}
-	out := b.Run(tape, r.Seed)
-	cost := tape.Cost()
-	modelTime := r.Machine.Time(cost)
-	rng := rand.New(rand.NewSource(r.jitterSeed(b.Name(), full)))
-	return Result{
-		Output:    out,
-		Cost:      cost,
-		Profile:   tape.Profile(),
-		ModelTime: modelTime,
-		Energy:    r.Machine.Energy(cost),
-		Measured:  perfmodel.Measure(modelTime, r.Runs, rng),
-	}
 }
 
 // jitterSeed mixes the workload seed, benchmark name, and configuration

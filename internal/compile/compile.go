@@ -1,33 +1,32 @@
 // Package compile lowers benchmark executions into precision-specialized
-// compiled kernels and caches them content-addressed, so the search
-// layer's evaluation hot path stops paying the interpreted tape's
-// per-access bookkeeping.
+// compiled kernels and caches them content-addressed. It is the only way
+// internal/bench executes a configuration.
 //
-// The interpreted path builds a fresh mp.Tape per execution, applies the
-// configuration, and meters every array access eagerly. A compiled Kernel
-// instead specializes a frozen tape per configuration once - the
-// precision vector is constant-folded into the tape (F64 arrays skip
-// rounding entirely, F32 arrays narrow through a cached inline float32
-// round), traffic charges defer to one multiply per observation point,
-// and the perf-model time function is prebound - and then reuses that
-// tape across every run of the same configuration, recycling its buffers
-// run to run. For benchmarks whose input generation is a pure function of
-// the workload seed (bench.PureIniter), the kernel also records the
-// first run's input streams per seed and replays them on every later
-// run, across configurations and semantics, turning bulk random
-// initialisation into straight copies (see mp.Stream).
+// A Kernel specializes a frozen mp.Tape per configuration once - the
+// precision vector and the demotion semantics are applied and locked,
+// every array caches its rounding precision (F64 stores skip rounding
+// entirely in the bulk accessors), and the perf-model time and energy
+// functions are prebound - and then reuses that tape across every run of
+// the same configuration, recycling its buffers run to run. For
+// benchmarks whose input generation is a pure function of the workload
+// seed (bench.PureIniter), the kernel also records the first run's input
+// streams per seed and replays them on every later run, across
+// configurations and semantics, turning bulk random initialisation into
+// straight copies (see mp.Stream).
 //
 // Kernels are cached by Key - the (bench, semantics, machine fingerprint,
 // precision vector) prefix of the run-cache purity key, i.e. everything
-// that identifies an execution except the workload seed - so a
-// configuration revisited by another search algorithm, another campaign
-// job, or another tenant reuses the specialized kernel. The cache only
-// memoizes the specialization, never results: every Run call executes the
-// benchmark, and the run cache (internal/runcache) remains the only
-// result memo. Everything a caller can observe - outputs, costs,
-// profiles - is byte-identical to the interpreted path; the mp package
-// documents why (exact deferred charging, recorded pre-rounding value
-// replay).
+// that identifies an execution except the workload seed - plus the
+// program's site count, so a configuration revisited by another search
+// algorithm, another campaign job, or another tenant reuses the
+// specialized kernel, and two programs that share a name but not a shape
+// never share a tape. The cache only memoizes the specialization, never
+// results: every Run call executes the benchmark, and the run cache
+// (internal/runcache) remains the only result memo. Everything a caller
+// can observe - outputs, costs, profiles - is byte-identical to running
+// the program once on a fresh tape with the configuration applied; the
+// mp package documents why (exact deferred charging, recorded
+// pre-rounding value replay).
 package compile
 
 import (
@@ -100,13 +99,20 @@ type Stats struct {
 // construct with New.
 type Compiler struct {
 	mu      sync.RWMutex
-	kernels map[Key]*Kernel
+	kernels map[kernelKey]*Kernel
 	streams map[streamKey]*mp.Stream
 
 	tel *telemetry.Recorder
 
 	hits, misses     atomic.Uint64
 	records, replays atomic.Uint64
+}
+
+// kernelKey addresses compiled kernels: the caller's Key plus the
+// program's site count, the size of the tape the kernel specializes.
+type kernelKey struct {
+	Key
+	sites int
 }
 
 // streamKey addresses recorded input streams: input generation depends
@@ -125,24 +131,25 @@ type streamKey struct {
 // of any deterministic campaign snapshot, as with the run cache.
 func New(tel *telemetry.Recorder) *Compiler {
 	return &Compiler{
-		kernels: make(map[Key]*Kernel),
+		kernels: make(map[kernelKey]*Kernel),
 		streams: make(map[streamKey]*mp.Stream),
 		tel:     tel,
 	}
 }
 
-// Compile returns the compiled kernel for key, specializing it from prog
-// and cfg on first use. cfg may be shorter than prog.NumSites (unlisted
-// trailing sites stay F64, exactly as the interpreted tape leaves them)
-// and must be the configuration key identified by key.Config. time and
-// energy are the perf-model charge functions of the machine model
+// Compile returns the compiled kernel for (key, prog.NumSites()),
+// specializing it from prog and cfg on first use. cfg may be shorter than
+// prog.NumSites (unlisted trailing sites stay F64, as a fresh tape leaves
+// them) and must be the configuration key identified by key.Config. time
+// and energy are the perf-model charge functions of the machine model
 // key.Model fingerprints; they are prebound onto the kernel so per-run
 // post-processing is a straight call (callers with the same fingerprint
 // compute identical values, so whichever caller compiles first is
 // irrelevant).
 func (c *Compiler) Compile(key Key, prog Program, cfg []mp.Prec, time, energy func(mp.Cost) float64) *Kernel {
+	kk := kernelKey{key, prog.NumSites()}
 	c.mu.RLock()
-	k := c.kernels[key]
+	k := c.kernels[kk]
 	c.mu.RUnlock()
 	if k != nil {
 		c.hits.Add(1)
@@ -151,12 +158,12 @@ func (c *Compiler) Compile(key Key, prog Program, cfg []mp.Prec, time, energy fu
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if k = c.kernels[key]; k != nil {
+	if k = c.kernels[kk]; k != nil {
 		c.hits.Add(1)
 		c.count("mixpbench_compile_cache_hits_total", key.Bench)
 		return k
 	}
-	precs := make([]mp.Prec, prog.NumSites())
+	precs := make([]mp.Prec, kk.sites)
 	copy(precs, cfg)
 	k = &Kernel{
 		c:           c,
@@ -166,7 +173,7 @@ func (c *Compiler) Compile(key Key, prog Program, cfg []mp.Prec, time, energy fu
 		Time:        time,
 		Energy:      energy,
 	}
-	c.kernels[key] = k
+	c.kernels[kk] = k
 	c.misses.Add(1)
 	c.count("mixpbench_compile_cache_misses_total", key.Bench)
 	return k
@@ -247,15 +254,13 @@ type Kernel struct {
 }
 
 // NumSites is the tape-slot count the kernel was specialized for.
-// Callers must not Run a Program with a different site count (the name
-// identifies the benchmark, so this only arises from a name collision);
-// they should fall back to interpretation instead.
 func (k *Kernel) NumSites() int { return len(k.precs) }
 
 // Run executes the kernel once against prog with inputs generated from
 // seed and returns the verification values, the metered cost, and the
-// per-variable profile - bit-identical to an interpreted run of the same
-// configuration.
+// per-variable profile - bit-identical to a run of prog on a fresh tape
+// with the same configuration. prog must have the site count the kernel
+// was compiled for (Compile keys kernels by it).
 func (k *Kernel) Run(prog Program, seed int64) (vals []float64, cost mp.Cost, prof []mp.VarProfile) {
 	t, _ := k.tapes.Get().(*mp.Tape)
 	if t == nil {

@@ -34,10 +34,10 @@ func (p toyProgram) Exec(t *mp.Tape, seed int64) []float64 {
 	return []float64{sum}
 }
 
-// interpret is the reference executor: a fresh eager tape with the
-// configuration applied per run, exactly as bench's interpreted path
-// builds it.
-func interpret(p Program, cfg []mp.Prec, sem runcache.Semantics, seed int64) ([]float64, mp.Cost, []mp.VarProfile) {
+// freshTape is the reference executor: one single-use tape per run with
+// the configuration applied, and no kernel, tape recycling, or
+// input-stream replay.
+func freshTape(p Program, cfg []mp.Prec, sem runcache.Semantics, seed int64) ([]float64, mp.Cost, []mp.VarProfile) {
 	t := mp.NewTape(p.NumSites())
 	if sem == runcache.IR {
 		t.SetComputeOnly(true)
@@ -93,12 +93,12 @@ func TestCompileCacheHitsAndMisses(t *testing.T) {
 	}
 }
 
-// TestKernelMatchesInterpreter locks the byte-identity contract at the
+// TestKernelMatchesFreshTape locks the byte-identity contract at the
 // compiler's own level: for every configuration and both semantics
 // tiers, a kernel run - first (recording), repeated (replaying, reused
-// tape) - returns exactly the interpreted executor's values, cost, and
+// tape) - returns exactly the fresh-tape reference's values, cost, and
 // profile.
-func TestKernelMatchesInterpreter(t *testing.T) {
+func TestKernelMatchesFreshTape(t *testing.T) {
 	prog := toyProgram{name: "toy", sites: 2, pure: true}
 	configs := [][]mp.Prec{
 		nil,
@@ -109,7 +109,7 @@ func TestKernelMatchesInterpreter(t *testing.T) {
 	for _, sem := range []runcache.Semantics{runcache.Source, runcache.IR} {
 		c := New(nil)
 		for _, cfg := range configs {
-			wantVals, wantCost, wantProf := interpret(prog, cfg, sem, 42)
+			wantVals, wantCost, wantProf := freshTape(prog, cfg, sem, 42)
 			k := c.Compile(Key{Bench: "toy", Semantics: sem, Model: 1, Config: cfgKey(cfg)}, prog, cfg, noTime, noTime)
 			for run := 0; run < 3; run++ {
 				vals, cost, prof := k.Run(prog, 42)
@@ -123,6 +123,46 @@ func TestKernelMatchesInterpreter(t *testing.T) {
 					t.Errorf("sem=%v cfg=%q run=%d: profile %v, want %v", sem, cfgKey(cfg), run, prof, wantProf)
 				}
 			}
+		}
+	}
+}
+
+// TestKernelsKeyedBySiteCount checks that programs sharing a name but
+// not a shape never share a kernel: each gets a tape sized for its own
+// sites and returns its own fresh-tape result, while a repeat of either
+// still hits its kernel.
+func TestKernelsKeyedBySiteCount(t *testing.T) {
+	c := New(nil)
+	cfg := []mp.Prec{mp.F32, mp.F64}
+	key := Key{Bench: "shared", Semantics: runcache.Source, Model: 1, Config: cfgKey(cfg)}
+	small := toyProgram{name: "shared", sites: 2}
+	large := toyProgram{name: "shared", sites: 5}
+
+	ks := c.Compile(key, small, cfg, noTime, noTime)
+	kl := c.Compile(key, large, cfg, noTime, noTime)
+	if ks == kl {
+		t.Fatal("programs with different site counts shared one kernel")
+	}
+	if ks.NumSites() != 2 || kl.NumSites() != 5 {
+		t.Fatalf("kernel sites = %d and %d, want 2 and 5", ks.NumSites(), kl.NumSites())
+	}
+	if c.Compile(key, small, cfg, noTime, noTime) != ks || c.Compile(key, large, cfg, noTime, noTime) != kl {
+		t.Error("a repeated (key, site count) compiled a fresh kernel")
+	}
+	if s := c.Stats(); s.Kernels != 2 || s.Misses != 2 || s.Hits != 2 {
+		t.Errorf("stats = %+v, want 2 kernels, 2 misses, 2 hits", s)
+	}
+	for _, tc := range []struct {
+		prog toyProgram
+		k    *Kernel
+	}{{small, ks}, {large, kl}} {
+		wantVals, wantCost, wantProf := freshTape(tc.prog, cfg, runcache.Source, 3)
+		vals, cost, prof := tc.k.Run(tc.prog, 3)
+		if !reflect.DeepEqual(vals, wantVals) || cost != wantCost || !reflect.DeepEqual(prof, wantProf) {
+			t.Errorf("%d sites: kernel run diverges from the fresh tape", tc.prog.sites)
+		}
+		if len(prof) != tc.prog.sites {
+			t.Errorf("%d sites: profile has %d entries", tc.prog.sites, len(prof))
 		}
 	}
 }
@@ -160,7 +200,7 @@ func TestKernelConcurrentRuns(t *testing.T) {
 	prog := toyProgram{name: "toy", sites: 2, pure: true}
 	cfg := []mp.Prec{mp.F32, mp.F64}
 	k := c.Compile(Key{Bench: "toy", Semantics: runcache.Source, Model: 1, Config: cfgKey(cfg)}, prog, cfg, noTime, noTime)
-	wantVals, wantCost, wantProf := interpret(prog, cfg, runcache.Source, 7)
+	wantVals, wantCost, wantProf := freshTape(prog, cfg, runcache.Source, 7)
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
@@ -171,7 +211,7 @@ func TestKernelConcurrentRuns(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				vals, cost, prof := k.Run(prog, 7)
 				if !reflect.DeepEqual(vals, wantVals) || cost != wantCost || !reflect.DeepEqual(prof, wantProf) {
-					errs <- "concurrent run diverged from the interpreter"
+					errs <- "concurrent run diverged from the fresh tape"
 					return
 				}
 			}

@@ -102,7 +102,7 @@ type Options struct {
 	// engine creates one. Sharing never changes results (see
 	// bench.Runner.Cache).
 	Cache *bench.Cache
-	// Compiler is the shared compile cache every compiled campaign joins;
+	// Compiler is the shared compile cache every campaign joins;
 	// nil means the engine creates one. Tenants proposing the same
 	// configuration then share one precision-specialized kernel (see
 	// bench.Runner.Compiler).
@@ -138,12 +138,6 @@ type SubmitOptions struct {
 	ResumePath     string
 	// NoCache opts this campaign out of the shared run cache.
 	NoCache bool
-	// Interpreted disables compiled evaluation for this campaign: every
-	// uncached execution interprets against a fresh tape instead of
-	// running a precision-specialized kernel from the engine's shared
-	// compile cache. Results are identical either way; the escape hatch
-	// and the compiler's benchmarking baseline.
-	Interpreted bool
 	// Precisions, when non-empty, is the campaign's default precision
 	// ladder (e.g. "f64,f32,bf16"), applied to every spec that does not
 	// set its own precisions clause (see harness.CampaignOptions).
@@ -377,7 +371,6 @@ func (e *Engine) SubmitCampaign(hc harness.Campaign, opts SubmitOptions) (string
 		ResumePath:     opts.ResumePath,
 		Cache:          cache,
 		NoCache:        opts.NoCache,
-		Interpreted:    opts.Interpreted,
 		Compiler:       e.compiler,
 		Precisions:     opts.Precisions,
 		Objective:      opts.Objective,
@@ -721,7 +714,6 @@ func RunOnce(ctx context.Context, specs []harness.Spec, opts harness.CampaignOpt
 			CheckpointPath: opts.CheckpointPath,
 			ResumePath:     opts.ResumePath,
 			NoCache:        opts.NoCache,
-			Interpreted:    opts.Interpreted,
 			Precisions:     opts.Precisions,
 			Objective:      opts.Objective,
 			OnJobDone:      opts.OnJobDone,

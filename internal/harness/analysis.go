@@ -49,16 +49,9 @@ type Job struct {
 	// exactly as on misses, so reports and telemetry are unchanged by
 	// sharing.
 	Cache *bench.Cache
-	// Interpreted disables compiled evaluation for the job: every uncached
-	// execution runs against a fresh interpreted tape instead of a
-	// precision-specialized kernel. Results are byte-identical either way
-	// (locked by the cross-path equivalence tests); the toggle is the
-	// escape hatch and the baseline for benchmarking the compiler. The
-	// zero value means compiled, the Runner default.
-	Interpreted bool
 	// Compiler, when non-nil, is the campaign-wide compile cache (the
 	// scheduler installs the shared instance here). A plugin should set it
-	// on every compiled bench.Runner it builds so jobs proposing the same
+	// on every bench.Runner it builds so jobs proposing the same
 	// configuration share one specialized kernel; nil falls back to the
 	// process-wide shared compiler.
 	Compiler *compile.Compiler
@@ -196,7 +189,6 @@ func (FloatSmith) Analyze(job Job) (Report, error) {
 	runner := bench.NewRunner(job.Seed)
 	runner.Telemetry = job.Telemetry
 	runner.Cache = job.Cache
-	runner.Compiled = !job.Interpreted
 	runner.Compiler = job.Compiler
 	eval := search.NewEvaluator(space, runner, job.Benchmark, job.Spec.Analysis.Threshold)
 	eval.SetObjective(job.Spec.Analysis.Objective)

@@ -6,17 +6,18 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/compile"
 	"repro/internal/telemetry"
 )
 
-// cacheCampaign runs the telemetry campaign with the given worker count
-// and run cache, returning the results, the metrics exposition, and the
-// event stream.
-func cacheCampaign(t *testing.T, workers int, cache *bench.Cache) ([]JobResult, string, []telemetry.Event) {
+// cacheCampaign runs the telemetry campaign with the given worker count,
+// run cache, and compiler (nil: the process-wide shared one), returning
+// the results, the metrics exposition, and the event stream.
+func cacheCampaign(t *testing.T, workers int, cache *bench.Cache, comp *compile.Compiler) ([]JobResult, string, []telemetry.Event) {
 	t.Helper()
 	mem := telemetry.NewMemorySink()
 	tel := telemetry.New(mem)
-	results := Scheduler{Workers: workers, Telemetry: tel, Cache: cache}.Run(telemetryJobs(t))
+	results := Scheduler{Workers: workers, Telemetry: tel, Cache: cache, Compiler: comp}.Run(telemetryJobs(t))
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("job %d: %v", i, r.Err)
@@ -32,13 +33,21 @@ func cacheCampaign(t *testing.T, workers int, cache *bench.Cache) ([]JobResult, 
 // TestSchedulerCacheDeterministic locks in the shared cache's determinism
 // contract: a campaign with the cache produces byte-identical reports,
 // metric snapshots, and event streams to one without it, under any worker
-// count. Run under -race with Workers > 1 it also locks in the cache's
-// data-race-free claim.
+// count. The uncached baseline runs on a campaign-private compiler, which
+// proves every proposal executed through a compiled kernel and that
+// revisited configurations reused theirs. Run under -race with Workers > 1
+// it also locks in the cache's and the compiler's data-race-free claims.
 func TestSchedulerCacheDeterministic(t *testing.T) {
 	var firstCachedMetrics string
 	for _, workers := range []int{1, 2, 8} {
-		baseResults, baseMetrics, baseEvents := cacheCampaign(t, workers, nil)
-		results, metrics, events := cacheCampaign(t, workers, bench.NewCache(nil))
+		comp := compile.New(nil)
+		baseResults, baseMetrics, baseEvents := cacheCampaign(t, workers, nil, comp)
+		if s := comp.Stats(); s.Kernels == 0 || s.Misses == 0 {
+			t.Fatalf("workers=%d: campaign never compiled a kernel: %+v", workers, s)
+		} else if s.Hits == 0 {
+			t.Errorf("workers=%d: revisited configurations never hit the compile cache: %+v", workers, s)
+		}
+		results, metrics, events := cacheCampaign(t, workers, bench.NewCache(nil), nil)
 		if !reflect.DeepEqual(results, baseResults) {
 			t.Errorf("workers=%d: cached campaign reports diverge from the uncached baseline", workers)
 		}

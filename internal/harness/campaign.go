@@ -40,15 +40,8 @@ type CampaignOptions struct {
 	// this exists for benchmarking the cache itself and as an escape
 	// hatch.
 	NoCache bool
-	// Interpreted disables compiled evaluation for this campaign: every
-	// uncached execution interprets against a fresh tape instead of
-	// running its precision-specialized kernel. Output is identical
-	// either way (see Scheduler.Interpreted); the escape hatch and the
-	// compiler's benchmarking baseline.
-	Interpreted bool
 	// Compiler, when non-nil, is the compile cache to install on the
-	// scheduler; nil compiled campaigns use the process-wide shared
-	// compiler.
+	// scheduler; nil means the process-wide shared compiler.
 	Compiler *compile.Compiler
 	// Precisions, when non-empty, is the default precision ladder (e.g.
 	// "f64,f32,bf16") applied to every spec whose analysis clause does not
@@ -130,17 +123,16 @@ func RunCampaignContext(ctx context.Context, specs []Spec, opts CampaignOptions)
 		cache = bench.NewCache(nil)
 	}
 	s := Scheduler{
-		Workers:     opts.Workers,
-		Telemetry:   opts.Telemetry,
-		Faults:      inj,
-		Retry:       opts.Retry,
-		Journal:     journal,
-		Resume:      resume,
-		Cache:       cache,
-		Interpreted: opts.Interpreted,
-		Compiler:    opts.Compiler,
-		OnJobDone:   opts.OnJobDone,
-		TraceDiag:   opts.TraceDiag,
+		Workers:   opts.Workers,
+		Telemetry: opts.Telemetry,
+		Faults:    inj,
+		Retry:     opts.Retry,
+		Journal:   journal,
+		Resume:    resume,
+		Cache:     cache,
+		Compiler:  opts.Compiler,
+		OnJobDone: opts.OnJobDone,
+		TraceDiag: opts.TraceDiag,
 	}
 	results := s.RunContext(ctx, jobs)
 	if err := journal.Close(); err != nil {

@@ -29,12 +29,14 @@ func ladderJobs(t *testing.T) []Job {
 	return jobs
 }
 
-// evalLadderCampaign is evalCampaign over the ladder jobs.
-func evalLadderCampaign(t *testing.T, workers int, interpreted bool, cache *bench.Cache, comp *compile.Compiler) ([]JobResult, string, []telemetry.Event) {
+// evalLadderCampaign runs the ladder campaign with the given worker
+// count, run cache, and compiler, returning the results, the metrics
+// exposition, and the event stream.
+func evalLadderCampaign(t *testing.T, workers int, cache *bench.Cache, comp *compile.Compiler) ([]JobResult, string, []telemetry.Event) {
 	t.Helper()
 	mem := telemetry.NewMemorySink()
 	tel := telemetry.New(mem)
-	s := Scheduler{Workers: workers, Telemetry: tel, Cache: cache, Interpreted: interpreted, Compiler: comp}
+	s := Scheduler{Workers: workers, Telemetry: tel, Cache: cache, Compiler: comp}
 	results := s.Run(ladderJobs(t))
 	for i, r := range results {
 		if r.Err != nil {
@@ -48,16 +50,20 @@ func evalLadderCampaign(t *testing.T, workers int, interpreted bool, cache *benc
 	return results, buf.String(), mem.Events()
 }
 
-// TestSchedulerLadderCompiledEquivalence extends the compiled/interpreted
-// byte-identity contract to deep-ladder Pareto campaigns: a three-rung
-// bfloat16 campaign produces identical reports (fronts and energies
-// included), metric snapshots, and event streams whether configurations
-// execute through compiled kernels or interpreted tapes, at any worker
-// count, with the run cache off or on. Run under -race with Workers > 1
-// it also covers the shared caches under ladder keys.
+// TestSchedulerLadderCompiledEquivalence extends the run cache's
+// byte-identity contract to deep-ladder Pareto campaigns on compiled
+// kernels: a three-rung bfloat16 campaign produces identical reports
+// (fronts and energies included), metric snapshots, and event streams
+// with the run cache off - every proposal executes through its kernel -
+// and on, at any worker count. Run under -race with Workers > 1 it also
+// covers the shared caches under ladder keys.
 func TestSchedulerLadderCompiledEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		baseResults, baseMetrics, baseEvents := evalLadderCampaign(t, workers, true, nil, nil)
+		comp := compile.New(nil)
+		baseResults, baseMetrics, baseEvents := evalLadderCampaign(t, workers, nil, comp)
+		if s := comp.Stats(); s.Kernels == 0 || s.Misses == 0 {
+			t.Fatalf("workers=%d: ladder campaign never compiled a kernel: %+v", workers, s)
+		}
 
 		for _, r := range baseResults {
 			if r.Report.Precisions != "f64,f32,bf16" {
@@ -71,24 +77,15 @@ func TestSchedulerLadderCompiledEquivalence(t *testing.T) {
 			}
 		}
 
-		comp := compile.New(nil)
-		results, metrics, events := evalLadderCampaign(t, workers, false, nil, comp)
+		results, metrics, events := evalLadderCampaign(t, workers, bench.NewCache(nil), compile.New(nil))
 		if !reflect.DeepEqual(results, baseResults) {
-			t.Errorf("workers=%d: compiled ladder reports diverge from interpreted", workers)
+			t.Errorf("workers=%d: cached ladder reports diverge from the cache-off baseline", workers)
 		}
 		if metrics != baseMetrics {
-			t.Errorf("workers=%d: compiled ladder metric snapshot diverges", workers)
+			t.Errorf("workers=%d: cached ladder metric snapshot diverges", workers)
 		}
 		if !reflect.DeepEqual(events, baseEvents) {
-			t.Errorf("workers=%d: compiled ladder event stream diverges", workers)
-		}
-		if s := comp.Stats(); s.Kernels == 0 || s.Misses == 0 {
-			t.Fatalf("workers=%d: ladder campaign never compiled a kernel: %+v", workers, s)
-		}
-
-		results, metrics, events = evalLadderCampaign(t, workers, false, bench.NewCache(nil), compile.New(nil))
-		if !reflect.DeepEqual(results, baseResults) || metrics != baseMetrics || !reflect.DeepEqual(events, baseEvents) {
-			t.Errorf("workers=%d: compiled+cache ladder campaign diverges from interpreted", workers)
+			t.Errorf("workers=%d: cached ladder event stream diverges", workers)
 		}
 	}
 }

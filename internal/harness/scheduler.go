@@ -61,16 +61,10 @@ type Scheduler struct {
 	// telemetry stays on the cache's own recorder - so campaign reports
 	// and telemetry snapshots are byte-identical with or without it.
 	Cache *bench.Cache
-	// Interpreted disables compiled evaluation campaign-wide: every job's
-	// runner interprets against a fresh tape instead of running
-	// precision-specialized kernels. Byte-identical either way (locked by
-	// the equivalence tests); the escape hatch and the compiler's
-	// benchmarking baseline.
-	Interpreted bool
 	// Compiler, when non-nil, is the campaign-wide compile cache,
 	// installed on every job like Cache: jobs that propose the same
-	// configuration share one specialized kernel. Nil compiled campaigns
-	// fall back to the process-wide shared compiler.
+	// configuration share one specialized kernel. Nil falls back to the
+	// process-wide shared compiler.
 	Compiler *compile.Compiler
 	// OnJobDone, when non-nil, is called once per job as it completes
 	// (resumed jobs included), with the job's index and final result.
@@ -216,7 +210,6 @@ func (s Scheduler) RunContext(ctx context.Context, jobs []Job) []JobResult {
 					t.job.Ctx = trace.WithProbe(ctx, s.TraceDiag.Probe(t.idx))
 				}
 				t.job.Cache = s.Cache
-				t.job.Interpreted = s.Interpreted
 				t.job.Compiler = s.Compiler
 				results[t.idx] = s.executeJob(t.idx, t.job)
 				if s.Journal != nil {

@@ -21,7 +21,7 @@ import (
 func TestSchedulerStoreInvariance(t *testing.T) {
 	fp := bench.StoreFingerprint(bench.NewRunner(42).ModelFingerprint())
 	for _, workers := range []int{1, 2, 4} {
-		baseResults, baseMetrics, baseEvents := cacheCampaign(t, workers, nil)
+		baseResults, baseMetrics, baseEvents := cacheCampaign(t, workers, nil, nil)
 
 		dir := filepath.Join(t.TempDir(), "results")
 		runStored := func(label string) *bench.Cache {
@@ -35,7 +35,7 @@ func TestSchedulerStoreInvariance(t *testing.T) {
 				}
 			}()
 			cache := bench.NewStoredCache(nil, st)
-			results, metrics, events := cacheCampaign(t, workers, cache)
+			results, metrics, events := cacheCampaign(t, workers, cache, nil)
 			if !reflect.DeepEqual(results, baseResults) {
 				t.Errorf("workers=%d: %s-store reports diverge from the storeless baseline", workers, label)
 			}

@@ -14,11 +14,9 @@ type Array struct {
 	v    VarID
 	data []float64
 
-	// Frozen-mode state: fz caches the owning tape's frozen flag (tapes
-	// never unfreeze, so it is fixed at allocation), prec caches the
-	// variable's rounding precision, and pending counts deferred traffic
-	// in elements, multiplied out at the next flush (see Tape.Freeze).
-	fz      bool
+	// prec caches the variable's rounding precision (SetPrec refreshes
+	// it), and pending counts deferred traffic in elements, multiplied out
+	// at the next flush (see Tape).
 	prec    Prec
 	pending uint64
 }
@@ -36,15 +34,12 @@ func (t *Tape) NewArray(v VarID, n int) *Array {
 	default:
 		t.cost.Footprint64 += bytes
 	}
-	if t.frozen {
-		a := t.reuseArray(v, n)
-		if a == nil {
-			a = &Array{tape: t, v: v, data: make([]float64, n), fz: true, prec: t.prec[v]}
-		}
-		t.arrays = append(t.arrays, a)
-		return a
+	a := t.reuseArray(v, n)
+	if a == nil {
+		a = &Array{tape: t, v: v, data: make([]float64, n), prec: t.prec[v]}
 	}
-	return &Array{tape: t, v: v, data: make([]float64, n)}
+	t.arrays = append(t.arrays, a)
+	return a
 }
 
 // Len returns the number of elements.
@@ -54,7 +49,7 @@ func (a *Array) Len() int { return len(a.data) }
 func (a *Array) Var() VarID { return a.v }
 
 // Prec reports the element precision under the active configuration.
-func (a *Array) Prec() Prec { return a.tape.prec[a.v] }
+func (a *Array) Prec() Prec { return a.prec }
 
 // Get loads element i, charging one element of read traffic.
 func (a *Array) Get(i int) float64 {
@@ -65,19 +60,14 @@ func (a *Array) Get(i int) float64 {
 // Set stores x into element i, narrowing to the array's precision and
 // charging one element of write traffic.
 func (a *Array) Set(i int, x float64) {
-	if a.fz {
-		a.pending++
-		a.data[i] = a.prec.Round(x)
-		return
-	}
-	a.charge(1)
-	a.data[i] = a.tape.prec[a.v].Round(x)
+	a.pending++
+	a.data[i] = a.prec.Round(x)
 }
 
 // Fill stores x into every element (one rounding, n elements of traffic).
 func (a *Array) Fill(x float64) {
 	a.charge(uint64(len(a.data)))
-	r := a.roundPrec().Round(x)
+	r := a.prec.Round(x)
 	for i := range a.data {
 		a.data[i] = r
 	}
@@ -96,7 +86,7 @@ func (a *Array) GetN(lo int, dst []float64) {
 // traffic - exactly equivalent to one Set per element.
 func (a *Array) SetN(lo int, src []float64) {
 	a.charge(uint64(len(src)))
-	p := a.roundPrec()
+	p := a.prec
 	if p == F64 {
 		copy(a.data[lo:lo+len(src)], src)
 		return
@@ -119,7 +109,7 @@ func (a *Array) SetEach(f func(i int) float64) {
 		t.rep.fill(a)
 		return
 	}
-	p := a.roundPrec()
+	p := a.prec
 	if t.rec != nil {
 		t.rec.fill(a, p, f)
 		return
@@ -138,25 +128,12 @@ func (a *Array) Snapshot() []float64 {
 	return out
 }
 
-// charge records n elements of traffic at the array's current width. The
-// width switch and scale multiply are precomputed on the tape (see
-// Tape.refreshVar), leaving a single multiply and two adds on the hot
-// path of every kernel loop; a frozen tape defers even those, counting
-// elements until the next flush.
-func (a *Array) charge(n uint64) {
-	if a.fz {
-		a.pending += n
-		return
-	}
-	t := a.tape
-	bytes := n * t.byteFactor[a.v]
-	*t.byteSink[a.v] += bytes
-	t.perVar[a.v].Bytes += bytes
-}
+// charge records n elements of traffic, deferred to the next flush.
+func (a *Array) charge(n uint64) { a.pending += n }
 
 // flush settles deferred traffic. The charge factors are constant between
 // flushes (every factor change flushes first), so one multiply over the
-// summed element count equals the eager per-access charges exactly.
+// summed element count equals per-access charging exactly.
 func (a *Array) flush() {
 	if a.pending == 0 {
 		return
@@ -166,13 +143,4 @@ func (a *Array) flush() {
 	*t.byteSink[a.v] += bytes
 	t.perVar[a.v].Bytes += bytes
 	a.pending = 0
-}
-
-// roundPrec is the precision stores narrow through: cached on the array
-// while the tape is frozen, read live otherwise.
-func (a *Array) roundPrec() Prec {
-	if a.fz {
-		return a.prec
-	}
-	return a.tape.prec[a.v]
 }

@@ -1,46 +1,16 @@
 package mp
 
-// Frozen tapes are the execution vehicle of compiled precision-specialized
-// kernels (see internal/compile). Freezing fixes the configuration - the
-// precision vector, the demotion semantics - so the per-access bookkeeping
-// that the interpreted tape performs eagerly can be constant-folded:
-//
-//   - Array traffic is deferred. Instead of multiplying through the
-//     precomputed charge factors on every access, a frozen Array counts
-//     elements (one add) and the totals are multiplied out once at the
-//     next observation point. The factor is constant between flushes, so
-//     sum(n_i)*f == sum(n_i*f) exactly in uint64 arithmetic and the
-//     flushed counters are bit-identical to the eager ones.
-//   - Rounding precision is cached on each Array at allocation, skipping
-//     the tape indirection on every Set; F64 arrays skip rounding
-//     entirely in the bulk stores.
-//   - Reset rewinds the tape for the next run of the same kernel without
-//     reallocating: counters zero, and the previous run's buffers are
-//     recycled when the new run repeats the allocation sequence.
-//
-// A frozen tape rejects SetPrec and SetComputeOnly - the compiled kernel
-// owns the configuration - but still accepts SetScale, which benchmark
-// Run bodies invoke themselves (deferred traffic is flushed first, so
-// scale changes observe exactly the eager accounting).
+// Freeze locks the tape's configuration: from here on SetPrec and
+// SetComputeOnly panic, and Reset may rewind the tape for another run.
+// A compiled kernel (internal/compile) freezes each tape it specializes,
+// because the precision vector and the semantics are the kernel's
+// identity. SetScale stays legal - benchmark Run bodies call it
+// themselves.
+func (t *Tape) Freeze() { t.frozen = true }
 
-// Freeze fixes the tape's configuration and switches every Array it
-// allocates to deferred traffic accounting. Call after the precision
-// vector and semantics are final and before the benchmark runs.
-func (t *Tape) Freeze() {
-	if t.frozen {
-		return
-	}
-	t.frozen = true
-	t.pendVar = make([]VarProfile, len(t.perVar))
-}
-
-// Frozen reports whether the tape is frozen.
-func (t *Tape) Frozen() bool { return t.frozen }
-
-// flushArrays settles every live Array's deferred traffic and the
-// deferred arithmetic meters into the cost and profile counters. A no-op
-// on unfrozen tapes (which charge eagerly) and when nothing is pending.
-func (t *Tape) flushArrays() {
+// flush settles every live Array's pending traffic and the deferred
+// arithmetic meters into the cost and profile counters.
+func (t *Tape) flush() {
 	for _, a := range t.arrays {
 		a.flush()
 	}
@@ -49,7 +19,7 @@ func (t *Tape) flushArrays() {
 
 // flushMeter settles the deferred Assign accounting. The scale is
 // constant between flushes (SetScale flushes first), so multiplying the
-// sums equals the eager per-call charges exactly.
+// sums equals per-call charging exactly.
 func (t *Tape) flushMeter() {
 	if t.pendFlops[0] != 0 {
 		t.cost.Flops64 += t.pendFlops[0] * t.scale
@@ -96,7 +66,7 @@ func (t *Tape) flushMeter() {
 // identity.
 func (t *Tape) Reset() {
 	if !t.frozen {
-		panic("mp: Reset on an unfrozen tape; interpreted runs use a fresh tape per execution")
+		panic("mp: Reset on an unfrozen tape; only a frozen configuration can be rewound")
 	}
 	t.cost = Cost{}
 	clear(t.perVar)
@@ -104,11 +74,9 @@ func (t *Tape) Reset() {
 	t.pendFlops = [3]uint64{}
 	t.pendCasts = 0
 	t.pendCastPairs = [3][3]uint64{}
-	for _, a := range t.arrays {
-		a.pending = 0
-	}
-	// Swap the just-finished run's arrays into the recycle pool; the slice
-	// previously used as the pool becomes the (emptied) live list.
+	// Swap the just-finished run's arrays into the recycle pool (reuse
+	// discards their pending traffic); the slice previously used as the
+	// pool becomes the (emptied) live list.
 	t.arrays, t.recycled = t.recycled[:0], t.arrays
 	t.reuseCursor = 0
 	t.rec = nil

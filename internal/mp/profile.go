@@ -18,29 +18,8 @@ type VarProfile struct {
 // Profile returns the per-variable attribution of the work metered so
 // far, indexed by VarID. The caller owns the returned slice.
 func (t *Tape) Profile() []VarProfile {
-	t.flushArrays()
+	t.flush()
 	out := make([]VarProfile, len(t.perVar))
 	copy(out, t.perVar)
 	return out
-}
-
-// attributeBytes adds array traffic to a variable's profile.
-func (t *Tape) attributeBytes(v VarID, bytes uint64) {
-	if int(v) < len(t.perVar) {
-		t.perVar[v].Bytes += bytes
-	}
-}
-
-// attributeFlops adds assignment-site arithmetic to a variable's profile.
-func (t *Tape) attributeFlops(v VarID, flops uint64) {
-	if int(v) < len(t.perVar) {
-		t.perVar[v].Flops += flops
-	}
-}
-
-// attributeCasts adds conversion work to a variable's profile.
-func (t *Tape) attributeCasts(v VarID, casts uint64) {
-	if int(v) < len(t.perVar) {
-		t.perVar[v].Casts += casts
-	}
 }

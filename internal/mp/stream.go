@@ -48,10 +48,11 @@ func (s *Stream) Fills() int { return len(s.fills) }
 
 // Rand returns the seeded generator benchmark Run bodies draw their
 // inputs from. It is the drop-in form of rand.New(rand.NewSource(seed)):
-// with no stream attached (every interpreted run) it constructs exactly
-// that generator; under a compiled kernel it additionally records the
-// draw stream on the kernel's first run per seed and replays it on every
-// later one (see Stream).
+// with no stream attached (a fresh tape, or a benchmark that does not
+// declare seed-pure inputs) it constructs exactly that generator; under a
+// compiled kernel it additionally records the draw stream on the
+// kernel's first run per seed and replays it on every later one (see
+// Stream).
 func (t *Tape) Rand(seed int64) *rand.Rand {
 	if t.rep != nil {
 		return rand.New(t.rep.source(seed))
@@ -63,8 +64,7 @@ func (t *Tape) Rand(seed int64) *rand.Rand {
 }
 
 // StartRecording begins capturing this run's input trace. The compiled
-// kernel calls it on the first run per (benchmark, seed); interpreted
-// runs never record.
+// kernel calls it on the first run per (benchmark, seed).
 func (t *Tape) StartRecording() {
 	t.rec = &streamRecorder{}
 }
@@ -185,7 +185,7 @@ func (r *streamReplayer) fill(a *Array) {
 	if len(rec.values) != len(a.data) {
 		panic(fmt.Sprintf("mp: replayed bulk initialisation of %d elements, recorded %d; benchmark input generation is not a pure function of the workload seed", len(a.data), len(rec.values)))
 	}
-	p := a.roundPrec()
+	p := a.prec
 	if p == F64 {
 		copy(a.data, rec.values)
 	} else {

@@ -3,10 +3,19 @@ package mp
 import "fmt"
 
 // Tape carries one precision configuration through one benchmark execution
-// and meters the work performed against it. A benchmark's Run method
-// receives a fresh Tape per evaluation; the search framework sets the
+// and meters the work performed against it. The search framework sets the
 // precision of each variable before the run and reads the accumulated Cost
-// afterwards.
+// afterwards; a compiled kernel (internal/compile) additionally freezes
+// the configuration and rewinds the tape with Reset between runs.
+//
+// Metering is deferred. The hot calls only count: Assign tallies unscaled
+// flops per expression width class, casts, and per-variable attribution,
+// and each Array tallies its traffic in elements. The counts are
+// multiplied through the charge factors at the next observation point -
+// Cost, Profile, or a SetPrec, SetScale, or SetComputeOnly that would
+// change a factor. Factors are constant between flushes, so
+// sum(n_i)*f == sum(n_i*f) exactly in uint64 arithmetic: the flushed
+// counters equal what charging every call on the spot would produce.
 //
 // The zero Tape is not usable; construct with NewTape.
 type Tape struct {
@@ -18,26 +27,24 @@ type Tape struct {
 
 	// byteFactor[v] is storageWidth(v).Size()*scale and byteSink[v] points
 	// at the Cost counter that width accumulates into. Both are refreshed
-	// whenever precision, scale, or semantics change, so Array.charge - the
-	// hottest call of every kernel loop - is a multiply and two adds with
-	// no branching.
+	// whenever precision, scale, or semantics change, so flushing an
+	// Array's pending traffic is a multiply and two adds with no branching.
 	byteFactor []uint64
 	byteSink   []*uint64
 
-	// Frozen-mode state (see Freeze): arrays lists every live Array so
-	// deferred traffic can be flushed before any observation or factor
-	// change, and recycled/reuseCursor recycle the previous run's buffers
-	// when a reset tape re-executes the same allocation sequence.
+	// frozen locks the configuration (see Freeze). arrays lists every live
+	// Array so pending traffic can be flushed before any observation or
+	// factor change, and recycled/reuseCursor recycle the previous run's
+	// buffers when a reset tape re-executes the same allocation sequence.
 	frozen      bool
 	arrays      []*Array
 	recycled    []*Array
 	reuseCursor int
 
-	// Deferred arithmetic meters of the frozen fast path: Assign counts
-	// unscaled flops per expression width class, casts (total and by
-	// width-class pair), and per-variable attribution here, and flushMeter
-	// multiplies the sums through the scale once per observation point
-	// (exact in uint64, like the deferred array traffic).
+	// Deferred arithmetic meters: Assign counts unscaled flops per
+	// expression width class, casts (total and by width-class pair), and
+	// per-variable attribution here, and flushMeter multiplies the sums
+	// through the scale once per observation point.
 	pendFlops     [3]uint64
 	pendCasts     uint64
 	pendCastPairs [3][3]uint64
@@ -55,6 +62,7 @@ func NewTape(n int) *Tape {
 		prec:       make([]Prec, n),
 		scale:      1,
 		perVar:     make([]VarProfile, n),
+		pendVar:    make([]VarProfile, n),
 		byteFactor: make([]uint64, n),
 		byteSink:   make([]*uint64, n),
 	}
@@ -98,7 +106,7 @@ func (t *Tape) SetScale(k uint64) {
 	if k < 1 {
 		panic("mp: scale must be at least 1")
 	}
-	t.flushArrays() // deferred traffic was accrued under the old factors
+	t.flush() // pending charges were accrued under the old scale
 	t.scale = k
 	t.refreshAll()
 }
@@ -122,6 +130,7 @@ func (t *Tape) SetComputeOnly(on bool) {
 	if t.frozen {
 		panic("mp: SetComputeOnly on a frozen tape; semantics are fixed at Freeze")
 	}
+	t.flush() // pending traffic was accrued at the old storage widths
 	t.computeOnly = on
 	t.refreshAll()
 }
@@ -142,15 +151,22 @@ func (t *Tape) storageWidth(v VarID) Prec {
 // NumVars returns the number of tunable variables the tape was built for.
 func (t *Tape) NumVars() int { return len(t.prec) }
 
-// SetPrec assigns precision p to variable v. It panics on an out-of-range
-// ID, which always indicates a benchmark declaring fewer variables than its
-// Run method uses.
+// SetPrec assigns precision p to variable v; v's live arrays narrow their
+// subsequent stores through p. It panics on an out-of-range ID, which
+// always indicates a benchmark declaring fewer variables than its Run
+// method uses.
 func (t *Tape) SetPrec(v VarID, p Prec) {
 	if t.frozen {
 		panic("mp: SetPrec on a frozen tape; the configuration is fixed at Freeze")
 	}
+	t.flush() // pending traffic was accrued at the old width
 	t.prec[v] = p
 	t.refreshVar(v)
+	for _, a := range t.arrays {
+		if a.v == v {
+			a.prec = p
+		}
+	}
 }
 
 // Prec reports the precision the configuration assigns to variable v.
@@ -158,7 +174,7 @@ func (t *Tape) Prec(v VarID) Prec { return t.prec[v] }
 
 // Cost returns the work metered so far.
 func (t *Tape) Cost() Cost {
-	t.flushArrays()
+	t.flush()
 	return t.cost
 }
 
@@ -212,59 +228,22 @@ func (t *Tape) AddBytes(p Prec, n uint64) {
 // precision among the destination and the named sources, so a narrow
 // store only buys narrow arithmetic when the whole expression is narrow.
 func (t *Tape) Assign(dst VarID, x float64, flops uint64, srcs ...VarID) float64 {
-	// Kept to a dispatch so call sites inline it: benchmark Run loops then
-	// jump straight into the path their tape uses instead of paying an
-	// extra call level on every scalar assignment.
-	if t.frozen {
-		return t.assignFrozen(dst, x, flops, srcs)
-	}
-	return t.assignEager(dst, x, flops, srcs)
-}
-
-// assignEager is Assign on an unfrozen tape: every charge lands in the
-// cost counters immediately.
-func (t *Tape) assignEager(dst VarID, x float64, flops uint64, srcs []VarID) float64 {
 	dp := t.prec[dst]
+	pv := &t.pendVar[dst]
 	ep := dp // expression precision: the widest operand wins (widerPrec)
-	for _, s := range srcs {
-		sp := t.prec[s]
-		if sp != dp {
-			t.cost.Casts += t.scale
-			t.cost.CastPairs[sp.wclass()][dp.wclass()] += t.scale
-			t.attributeCasts(dst, t.scale)
-		}
-		if widerPrec(sp, ep) {
-			ep = sp
-		}
-	}
-	t.AddFlops(ep, flops)
-	t.attributeFlops(dst, flops*t.scale)
-	return dp.Round(x)
-}
-
-// assignFrozen is Assign on a frozen tape: identical semantics, with the
-// scale multiplies and the flop-counter switch deferred to flushMeter.
-func (t *Tape) assignFrozen(dst VarID, x float64, flops uint64, srcs []VarID) float64 {
-	dp := t.prec[dst]
-	ep := dp
-	attr := int(dst) < len(t.pendVar)
 	for _, s := range srcs {
 		sp := t.prec[s]
 		if sp != dp {
 			t.pendCasts++
 			t.pendCastPairs[sp.wclass()][dp.wclass()]++
-			if attr {
-				t.pendVar[dst].Casts++
-			}
+			pv.Casts++
 		}
 		if widerPrec(sp, ep) {
 			ep = sp
 		}
 	}
 	t.pendFlops[ep.wclass()] += flops
-	if attr {
-		t.pendVar[dst].Flops += flops
-	}
+	pv.Flops += flops
 	return dp.Round(x)
 }
 

@@ -78,12 +78,6 @@ type Options struct {
 	// key and simulated time is charged on hits); this is the escape hatch
 	// and the baseline for benchmarking the cache.
 	NoCache bool
-	// Interpreted disables compiled evaluation study-wide: every uncached
-	// execution interprets against a fresh tape instead of running its
-	// precision-specialized kernel (internal/compile). Byte-identical
-	// either way; this is the escape hatch and the interpreted side of the
-	// compiled-vs-interpreted benchmark pair.
-	Interpreted bool
 	// Precisions, when non-empty, runs the study over this precision
 	// ladder (e.g. "f64,f32,bf16") instead of the paper's two-level
 	// double/single axis. The default ladder changes nothing; deeper
@@ -114,7 +108,7 @@ func Run(opts Options) *Study {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	sched := harness.Scheduler{Workers: opts.Workers, Cache: cache, Interpreted: opts.Interpreted}
+	sched := harness.Scheduler{Workers: opts.Workers, Cache: cache}
 
 	// Table III: kernels x 6 algorithms at the kernel threshold.
 	var ladder mp.Ladder
@@ -160,7 +154,6 @@ func Run(opts Options) *Study {
 	// application study also needs executes once.
 	runner := bench.NewRunner(Seed)
 	runner.Cache = cache
-	runner.Compiled = !opts.Interpreted
 	for _, a := range suite.Apps() {
 		if ctx.Err() != nil {
 			progress("study canceled during conversion study")

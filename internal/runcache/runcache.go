@@ -6,7 +6,7 @@
 // model, configuration), so the whole campaign can share one memo table.
 // The baseline, the all-single probe, and every single-variable candidate
 // that greedy, combinational, and delta debugging all visit are then
-// interpreted once per process instead of once per job - CRAFT's
+// executed once per process instead of once per job - CRAFT's
 // within-analysis memoisation lifted to the campaign level.
 //
 // The store is sharded for concurrency and deduplicates in flight: when

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/mp"
 	"repro/internal/kernels"
+	"repro/internal/mp"
 )
 
 // fourRung is the deepest standard ladder: double, single, half, bfloat16.

@@ -30,8 +30,8 @@ func openTest(t *testing.T, dir string, opts Options) *Store {
 	return s
 }
 
-func testKey(i int) []byte  { return []byte(fmt.Sprintf("key-%05d", i)) }
-func testVal(i int) []byte  { return bytes.Repeat([]byte{byte(i), byte(i >> 8)}, 40) }
+func testKey(i int) []byte { return []byte(fmt.Sprintf("key-%05d", i)) }
+func testVal(i int) []byte { return bytes.Repeat([]byte{byte(i), byte(i >> 8)}, 40) }
 func mustSync(t *testing.T, s *Store) {
 	t.Helper()
 	if err := s.Sync(); err != nil {

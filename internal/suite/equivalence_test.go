@@ -1,17 +1,21 @@
 package suite
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/compile"
 	"repro/internal/mp"
+	"repro/internal/perfmodel"
 )
 
-// f64bitsEqual compares floats as raw bit patterns: the compiled path
-// promises byte-identity, which is stronger than == (it distinguishes
+// f64bitsEqual compares floats as raw bit patterns: compiled kernels
+// promise byte-identity, which is stronger than == (it distinguishes
 // -0 from +0) and, unlike reflect.DeepEqual, holds for the NaNs that
 // aggressively demoted configurations legitimately produce (SRAD's
 // all-single run diverges to NaN on both paths, identically).
@@ -20,8 +24,8 @@ func f64bitsEqual(a, b float64) bool {
 }
 
 // resultsBitIdentical is deep Result equality at the bit level: output
-// values, metered cost, per-variable profile, modelled time, and the
-// measured-timing protocol.
+// values, metered cost, per-variable profile, modelled time and energy,
+// and the measured-timing protocol.
 func resultsBitIdentical(a, b bench.Result) bool {
 	if len(a.Output.Values) != len(b.Output.Values) {
 		return false
@@ -34,13 +38,14 @@ func resultsBitIdentical(a, b bench.Result) bool {
 	return a.Cost == b.Cost &&
 		reflect.DeepEqual(a.Profile, b.Profile) && // uint64 fields only
 		f64bitsEqual(a.ModelTime, b.ModelTime) &&
+		f64bitsEqual(a.Energy, b.Energy) &&
 		a.Measured.Runs == b.Measured.Runs &&
 		f64bitsEqual(a.Measured.Mean, b.Measured.Mean) &&
 		f64bitsEqual(a.Measured.Total, b.Measured.Total)
 }
 
 // equivalenceConfigs returns the representative precision vectors the
-// compiled/interpreted comparison runs per benchmark: the all-double
+// kernel/fresh-tape comparison runs per benchmark: the all-double
 // reference, the all-single extreme, an alternating mix that exercises
 // both the rounding and the skip-rounding specializations in one run, a
 // three-level ladder mix (f64/f32/bf16), and a four-level mix adding
@@ -75,15 +80,43 @@ func equivalenceConfigs(b bench.Benchmark) []bench.Config {
 	return []bench.Config{nil, bench.AllSingle(n), alt, mix3, mix4}
 }
 
+// freshTape is the reference executor: one single-use tape per
+// execution, configured here - no compiled kernel, no tape recycling, no
+// input-stream replay - with the Result assembled from the runner's
+// machine model and the documented jitter stream (FNV-1a over
+// "<seed>/<name>/<config key>"). sites is the tape size and jitter the
+// stream's name component ("<bench>/ir" under IR semantics).
+func freshTape(r *bench.Runner, b bench.Benchmark, cfg bench.Config, sites int, computeOnly bool, jitter string) bench.Result {
+	t := mp.NewTape(sites)
+	t.SetComputeOnly(computeOnly)
+	for i, p := range cfg {
+		t.SetPrec(mp.VarID(i), p)
+	}
+	out := b.Run(t, r.Seed)
+	cost := t.Cost()
+	modelTime := r.Machine.Time(cost)
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d/%s/%s", r.Seed, jitter, cfg.Key())
+	return bench.Result{
+		Output:    out,
+		Cost:      cost,
+		Profile:   t.Profile(),
+		ModelTime: modelTime,
+		Energy:    r.Machine.Energy(cost),
+		Measured:  perfmodel.Measure(modelTime, r.Runs, rand.New(rand.NewSource(int64(h.Sum64())))),
+	}
+}
+
 // TestCompiledInterpretedEquivalence locks the compiler's byte-identity
 // contract over the whole suite: for all 17 ports, every evaluation
 // entry point (Run, RunIR, RunManualSingle) and representative
-// configuration returns a deeply equal Result - output values, metered
-// cost, per-variable profile, modelled time, and the measured-timing
-// protocol - whether it executes through a precision-specialized
-// compiled kernel or a fresh interpreted tape. Each compiled
-// configuration runs twice so the second run exercises kernel reuse,
-// tape recycling, and input-stream replay.
+// configuration returns a Result - output values, metered cost,
+// per-variable profile, modelled time and energy, and the
+// measured-timing protocol - bit-identical to the freshTape reference.
+// (The name predates the interpreted evaluation path, which fresh
+// single-use tapes replaced as the reference.) Each configuration runs
+// twice so the second run exercises kernel reuse, tape recycling, and
+// input-stream replay.
 func TestCompiledInterpretedEquivalence(t *testing.T) {
 	for _, b := range All() {
 		b := b
@@ -91,13 +124,16 @@ func TestCompiledInterpretedEquivalence(t *testing.T) {
 			t.Parallel()
 			compiled := bench.NewRunner(42)
 			compiled.Compiler = compile.New(nil) // private cache: counters below are test-local
-			interp := bench.NewRunner(42)
-			interp.Compiled = false
+			n := b.Graph().NumVars()
+			sites := n
+			if h, ok := b.(bench.HiddenVarser); ok {
+				sites += h.HiddenVars()
+			}
 
 			check := func(what string, got, want bench.Result) {
 				t.Helper()
 				if !resultsBitIdentical(got, want) {
-					t.Errorf("%s: compiled result diverges from interpreted\ncompiled:    %+v\ninterpreted: %+v", what, got, want)
+					t.Errorf("%s: kernel result diverges from the fresh tape\nkernel:     %+v\nfresh tape: %+v", what, got, want)
 				}
 			}
 			for _, cfg := range equivalenceConfigs(b) {
@@ -105,19 +141,19 @@ func TestCompiledInterpretedEquivalence(t *testing.T) {
 				if cfg != nil {
 					label = cfg.Key()
 				}
-				want := interp.Run(b, cfg)
+				want := freshTape(compiled, b, cfg, sites, false, b.Name())
 				check("Run/"+label, compiled.Run(b, cfg), want)
 				check("Run/"+label+"/again", compiled.Run(b, cfg), want)
-				wantIR := interp.RunIR(b, cfg)
+				wantIR := freshTape(compiled, b, cfg, sites, true, b.Name()+"/ir")
 				check("RunIR/"+label, compiled.RunIR(b, cfg), wantIR)
 			}
-			check("RunManualSingle", compiled.RunManualSingle(b), interp.RunManualSingle(b))
+			check("RunManualSingle", compiled.RunManualSingle(b), freshTape(compiled, b, bench.AllSingle(sites), sites, false, b.Name()))
 
 			// The comparisons above must have gone through kernels at all -
-			// a silently interpreting "compiled" runner would pass trivially.
+			// a runner bypassing the compiler would pass trivially.
 			s := compiled.Compiler.Stats()
 			if s.Kernels == 0 || s.Misses == 0 {
-				t.Errorf("compiled runner never compiled a kernel: %+v", s)
+				t.Errorf("runner never compiled a kernel: %+v", s)
 			}
 			if s.Hits == 0 {
 				t.Errorf("repeated configurations never hit the compile cache: %+v", s)

@@ -127,14 +127,14 @@ func TestChromeExportValidates(t *testing.T) {
 
 func TestValidateChromeRejectsMalformed(t *testing.T) {
 	cases := map[string]string{
-		"not json":        `{`,
-		"no traceEvents":  `{"events":[]}`,
-		"missing ph":      `{"traceEvents":[{"name":"a"}]}`,
-		"X missing dur":   `{"traceEvents":[{"name":"a","ph":"X","ts":0,"pid":1,"tid":1}]}`,
-		"negative ts":     `{"traceEvents":[{"name":"a","ph":"X","ts":-1,"dur":1,"pid":1,"tid":1}]}`,
-		"unsupported ph":  `{"traceEvents":[{"name":"a","ph":"B","ts":0,"pid":1,"tid":1}]}`,
-		"only metadata":   `{"traceEvents":[{"name":"process_name","ph":"M","pid":1,"tid":1}]}`,
-		"overlapping X":   `{"traceEvents":[{"name":"a","ph":"X","ts":0,"dur":10,"pid":1,"tid":1},{"name":"b","ph":"X","ts":5,"dur":10,"pid":1,"tid":1}]}`,
+		"not json":       `{`,
+		"no traceEvents": `{"events":[]}`,
+		"missing ph":     `{"traceEvents":[{"name":"a"}]}`,
+		"X missing dur":  `{"traceEvents":[{"name":"a","ph":"X","ts":0,"pid":1,"tid":1}]}`,
+		"negative ts":    `{"traceEvents":[{"name":"a","ph":"X","ts":-1,"dur":1,"pid":1,"tid":1}]}`,
+		"unsupported ph": `{"traceEvents":[{"name":"a","ph":"B","ts":0,"pid":1,"tid":1}]}`,
+		"only metadata":  `{"traceEvents":[{"name":"process_name","ph":"M","pid":1,"tid":1}]}`,
+		"overlapping X":  `{"traceEvents":[{"name":"a","ph":"X","ts":0,"dur":10,"pid":1,"tid":1},{"name":"b","ph":"X","ts":5,"dur":10,"pid":1,"tid":1}]}`,
 	}
 	for name, in := range cases {
 		if err := ValidateChrome(strings.NewReader(in)); err == nil {

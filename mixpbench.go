@@ -351,12 +351,6 @@ type TuneOptions struct {
 	// skip re-executing configurations they share. Results are identical
 	// with or without it.
 	Cache *RunCache
-	// Interpreted disables compiled evaluation: every uncached execution
-	// interprets against a fresh tape instead of running its
-	// precision-specialized kernel (the default). Results are identical
-	// either way; this is the escape hatch and the baseline for
-	// benchmarking the compiler.
-	Interpreted bool
 	// Precisions is the precision ladder to search over, e.g.
 	// "f64,f32,bf16" or "f64,f32,f16"; empty means the paper's two-level
 	// double/single study.
@@ -439,7 +433,6 @@ func TuneContext(ctx context.Context, b BenchmarkProgram, opts TuneOptions) (Tun
 	runner := bench.NewRunner(opts.Seed)
 	runner.Telemetry = opts.Telemetry
 	runner.Cache = opts.Cache
-	runner.Compiled = !opts.Interpreted
 	eval := search.NewEvaluator(space, runner, b, opts.Threshold)
 	eval.SetObjective(objective)
 	if opts.BudgetSeconds > 0 {
