@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race verify lint lint-report cover tables bench bench-smoke trace-smoke store-smoke
+.PHONY: build test race verify lint lint-report cover tables bench bench-smoke trace-smoke store-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -99,3 +99,12 @@ store-smoke:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/mp ./internal/bench ./internal/runcache
 	$(GO) test -run '^$$' -bench 'BenchmarkCampaign' -benchtime=1x .
+
+# fuzz-smoke runs each native fuzz target for a fixed 10 s budget (CI's
+# guard that the targets still build, run, and find nothing new in a
+# short search; the checked-in seed corpora under testdata/fuzz run on
+# every plain go test). go test fuzzes one target in one package per
+# invocation, so each target gets its own line.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzRoundBinary$$' -fuzztime=10s ./internal/mp
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s ./internal/yamlite

@@ -58,10 +58,14 @@ func (a *Array) Get(i int) float64 {
 }
 
 // Set stores x into element i, narrowing to the array's precision and
-// charging one element of write traffic.
+// charging one element of write traffic. It tests for F64 itself instead
+// of calling Round so that it stays inlinable (see roundNarrow).
 func (a *Array) Set(i int, x float64) {
 	a.pending++
-	a.data[i] = a.prec.Round(x)
+	if a.prec != F64 {
+		x = a.prec.roundNarrow(x)
+	}
+	a.data[i] = x
 }
 
 // Fill stores x into every element (one rounding, n elements of traffic).

@@ -8,24 +8,7 @@ import "math"
 // subnormals, infinities - is the float32 value whose low 16 mantissa
 // bits are zero; the bit codecs below lean on that. Rounding must still
 // happen directly from float64 (a float64 -> float32 -> bfloat16 trip
-// would double-round), so roundToBfloat goes through the generic
-// round-to-nearest-even machinery.
-
-// bfloat16 limits.
-const (
-	// bfloatMaxFinite is the largest finite bfloat16 value, (2-2^-7)*2^127.
-	bfloatMaxFinite = 3.3895313892515355e+38
-	// bfloatMinNormal is the smallest normal bfloat16 value, 2^-126.
-	bfloatMinNormal = 1.1754943508222875e-38
-	// bfloatSubQuantum is the subnormal quantum, 2^-133.
-	bfloatSubQuantum = 9.183549615799121e-41
-)
-
-// roundToBfloat rounds x to the nearest bfloat16 value
-// (round-to-nearest-even), returning it as a float64.
-func roundToBfloat(x float64) float64 {
-	return roundBinary(x, 8, 7)
-}
+// would double-round), so BF16.Round is the generic roundBinary at (8,7).
 
 // bfloatBits encodes a bfloat16-rounded value as its bit pattern (used by
 // the mixed-precision file IO). A rounded value is exactly representable

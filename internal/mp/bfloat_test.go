@@ -6,6 +6,16 @@ import (
 	"testing"
 )
 
+// bfloat16 limits.
+const (
+	// bfloatMaxFinite is the largest finite bfloat16 value, (2-2^-7)*2^127.
+	bfloatMaxFinite = 3.3895313892515355e+38
+	// bfloatMinNormal is the smallest normal bfloat16 value, 2^-126.
+	bfloatMinNormal = 1.1754943508222875e-38
+	// bfloatSubQuantum is the subnormal quantum, 2^-133.
+	bfloatSubQuantum = 9.183549615799121e-41
+)
+
 func TestBfloatKnownValues(t *testing.T) {
 	overflow := math.Ldexp(2-math.Ldexp(1, -8), 127) // midpoint beyond maxFinite
 	cases := []struct{ in, want float64 }{
@@ -32,27 +42,27 @@ func TestBfloatKnownValues(t *testing.T) {
 		{1e10, 9999220736},
 	}
 	for _, c := range cases {
-		got := roundToBfloat(c.in)
+		got := BF16.Round(c.in)
 		if math.IsInf(c.want, 0) {
 			if !math.IsInf(got, int(math.Copysign(1, c.want))) {
-				t.Errorf("roundToBfloat(%g) = %g, want %g", c.in, got, c.want)
+				t.Errorf("BF16.Round(%g) = %g, want %g", c.in, got, c.want)
 			}
 			continue
 		}
 		if got != c.want {
-			t.Errorf("roundToBfloat(%g) = %v, want %v", c.in, got, c.want)
+			t.Errorf("BF16.Round(%g) = %v, want %v", c.in, got, c.want)
 		}
 	}
 }
 
 func TestBfloatSpecials(t *testing.T) {
-	if !math.IsNaN(roundToBfloat(math.NaN())) {
+	if !math.IsNaN(BF16.Round(math.NaN())) {
 		t.Error("NaN not preserved")
 	}
-	if !math.IsInf(roundToBfloat(math.Inf(1)), 1) || !math.IsInf(roundToBfloat(math.Inf(-1)), -1) {
+	if !math.IsInf(BF16.Round(math.Inf(1)), 1) || !math.IsInf(BF16.Round(math.Inf(-1)), -1) {
 		t.Error("infinities not preserved")
 	}
-	negZero := roundToBfloat(math.Copysign(0, -1))
+	negZero := BF16.Round(math.Copysign(0, -1))
 	if negZero != 0 || !math.Signbit(negZero) {
 		t.Error("negative zero not preserved")
 	}
@@ -84,7 +94,7 @@ func TestBfloatValuesAreFixedPoints(t *testing.T) {
 		if math.IsNaN(v) {
 			continue
 		}
-		if got := roundToBfloat(v); got != v {
+		if got := BF16.Round(v); got != v {
 			t.Fatalf("bfloat16 value %v (bits %#04x) rounds to %v", v, b, got)
 		}
 	}
@@ -97,7 +107,7 @@ func TestBfloatRoundNearest(t *testing.T) {
 	for b := 1; b < 0x7F80; b++ {
 		v := bfloatFromBits(uint16(b))
 		mid := (prev + v) / 2
-		lo, hi := roundToBfloat(math.Nextafter(mid, 0)), roundToBfloat(math.Nextafter(mid, v))
+		lo, hi := BF16.Round(math.Nextafter(mid, 0)), BF16.Round(math.Nextafter(mid, v))
 		if lo != prev {
 			t.Fatalf("below midpoint of (%v, %v): got %v", prev, v, lo)
 		}
@@ -105,7 +115,7 @@ func TestBfloatRoundNearest(t *testing.T) {
 			t.Fatalf("above midpoint of (%v, %v): got %v", prev, v, hi)
 		}
 		// The exact midpoint ties to the even significand.
-		tie := roundToBfloat(mid)
+		tie := BF16.Round(mid)
 		if tie != prev && tie != v {
 			t.Fatalf("midpoint of (%v, %v) rounded to %v", prev, v, tie)
 		}
@@ -156,7 +166,7 @@ func TestBfloatIO(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, v := range vals {
-		want := roundToBfloat(v)
+		want := BF16.Round(v)
 		if math.IsInf(want, 0) {
 			if !math.IsInf(back[i], 1) {
 				t.Errorf("[%d] = %v, want +Inf", i, back[i])

@@ -4,40 +4,37 @@ import "math"
 
 // roundBinary rounds x to the nearest value of the binary floating-point
 // format with eBits exponent bits and mBits mantissa bits
-// (round-to-nearest-even), returning it as a float64. It is the generic
-// form of roundToHalf: every format the ladder can name is a subset of
-// float64 (e <= 11, m <= 52), the arithmetic runs entirely in float64
-// whose 53-bit significand represents every intermediate exactly, so no
-// double rounding occurs. For e=11, m=52 the function is the float64
-// identity on every input.
+// (round-to-nearest-even), returning it as a float64. It is the one
+// rounder behind every narrow format (F16 is (5,10), BF16 is (8,7), and
+// custom(e,m) is itself): every format the ladder can name is a subset of
+// float64 (e <= 11, m <= 52), so in the format's normal range rounding is
+// integer arithmetic on the float64 bit pattern, with no double rounding.
+// For e=11, m=52 the function is the float64 identity on every input.
 func roundBinary(x float64, eBits, mBits int) float64 {
-	if x != x || math.IsInf(x, 0) || x == 0 {
+	b := math.Float64bits(x)
+	exp := int(b>>52) & 0x7FF
+	if exp == 0x7FF || b<<1 == 0 { // NaN, ±Inf, ±0
 		return x
 	}
 	bias := 1<<(eBits-1) - 1
-	// Values at or beyond the midpoint between the largest finite value,
-	// (2 - 2^-m) * 2^bias, and the next representable step round to
-	// infinity. For the full float64 widths this midpoint overflows to
-	// +Inf and the comparison is never true, as it must be.
-	overflow := math.Ldexp(2-math.Ldexp(1, -(mBits+1)), bias)
-	ax := math.Abs(x)
-	if ax >= overflow {
-		return math.Inf(int(math.Copysign(1, x)))
-	}
-	minNormal := math.Ldexp(1, 1-bias)
-	if ax < minNormal {
-		// Subnormal range: fixed quantum of 2^(1-bias-m).
+	if exp-1023 < 1-bias {
+		// Below the smallest normal (every float64 subnormal lands here):
+		// fixed quantum of 2^(1-bias-m), and x/q is exact.
 		q := math.Ldexp(1, 1-bias-mBits)
 		return math.RoundToEven(x/q) * q
 	}
-	// Normal range: m+1 significant bits.
-	f, e := math.Frexp(x) // x = f * 2^e with |f| in [0.5, 1)
-	s := math.Ldexp(1, mBits+1)
-	m := math.RoundToEven(f*s) / s
-	y := math.Ldexp(m, e)
-	if math.Abs(y) >= overflow {
-		// Rounding carried the significand past the largest finite value.
-		return math.Inf(int(math.Copysign(1, x)))
+	// Normal range: keep m of the 52 fraction bits. Adding half an ulp
+	// less one, plus the kept lsb, carries exactly when the dropped bits
+	// are above the midpoint or tie to an odd lsb; a carry out of the
+	// fraction steps the exponent, which is the correctly rounded value.
+	if s := uint(52 - mBits); s > 0 {
+		b += 1<<(s-1) - 1 + (b>>s)&1
+		b &^= 1<<s - 1
 	}
-	return y
+	if int(b>>52&0x7FF)-1023 > bias {
+		// Past the largest finite value: everything at or beyond the
+		// midpoint (2 - 2^-(m+1)) * 2^bias rounds to infinity.
+		return math.Float64frombits(b&(1<<63) | 0x7FF<<52)
+	}
+	return math.Float64frombits(b)
 }

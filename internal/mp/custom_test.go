@@ -3,6 +3,7 @@ package mp
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -47,6 +48,132 @@ func TestCustomSizes(t *testing.T) {
 			t.Errorf("custom(%d,%d).Size() = %d, want %d", c.e, c.m, got, c.size)
 		}
 	}
+}
+
+// refRoundBinary is the Frexp/Ldexp rounder that roundBinary replaced,
+// kept as the differential reference: it rounds the significand in
+// float64 arithmetic instead of on the bit pattern.
+func refRoundBinary(x float64, eBits, mBits int) float64 {
+	if x != x || math.IsInf(x, 0) || x == 0 {
+		return x
+	}
+	bias := 1<<(eBits-1) - 1
+	// Values at or beyond the midpoint between the largest finite value,
+	// (2 - 2^-m) * 2^bias, and the next representable step round to
+	// infinity. For the full float64 widths this midpoint overflows to
+	// +Inf and the comparison is never true, as it must be.
+	overflow := math.Ldexp(2-math.Ldexp(1, -(mBits+1)), bias)
+	ax := math.Abs(x)
+	if ax >= overflow {
+		return math.Inf(int(math.Copysign(1, x)))
+	}
+	minNormal := math.Ldexp(1, 1-bias)
+	if ax < minNormal {
+		// Subnormal range: fixed quantum of 2^(1-bias-m).
+		q := math.Ldexp(1, 1-bias-mBits)
+		return math.RoundToEven(x/q) * q
+	}
+	// Normal range: m+1 significant bits.
+	f, e := math.Frexp(x) // x = f * 2^e with |f| in [0.5, 1)
+	s := math.Ldexp(1, mBits+1)
+	m := math.RoundToEven(f*s) / s
+	y := math.Ldexp(m, e)
+	if math.Abs(y) >= overflow {
+		// Rounding carried the significand past the largest finite value.
+		return math.Inf(int(math.Copysign(1, x)))
+	}
+	return y
+}
+
+// roundBinaryProbes returns the inputs where a rounder for format (e, m)
+// can go wrong: the overflow midpoint, 2^(bias+1), the largest finite
+// value, the smallest normal, the subnormal quantum, and ties of both
+// parities in the normal and subnormal ranges, each with its float64
+// neighbours on both sides, in both signs.
+func roundBinaryProbes(e, m int) []float64 {
+	bias := 1<<(e-1) - 1
+	ulp := math.Ldexp(1, -m) // at 1
+	minNormal, quantum := math.Ldexp(1, 1-bias), math.Ldexp(1, 1-bias-m)
+	var xs []float64
+	for _, v := range []float64{
+		math.Ldexp(2-ulp/2, bias), // overflow midpoint (ties up: maxFinite is odd)
+		math.Ldexp(1, bias+1),
+		math.Ldexp(2-ulp, bias), // largest finite
+		minNormal,
+		quantum,
+		1 + ulp/2,              // tie, even neighbour below: rounds down
+		1 + 3*ulp/2,            // tie, odd neighbour below: rounds up
+		minNormal - quantum/2,  // tie from the subnormal top into minNormal
+		quantum / 2,            // tie between zero and the quantum
+		3 * quantum / 2,        // subnormal tie, odd neighbour below
+		math.Ldexp(1+ulp/2, 1), // tie at another binade
+	} {
+		for _, y := range []float64{v, math.Nextafter(v, 0), math.Nextafter(v, math.Inf(1))} {
+			xs = append(xs, y, -y)
+		}
+	}
+	return xs
+}
+
+// randomProbe returns a random float64 near format (e, m): a random bit
+// pattern (one in four), an exact tie at a random exponent (one in
+// four), or a random significand at an exponent from just below the
+// subnormal range to just past overflow.
+func randomProbe(rng *rand.Rand, e, m int) float64 {
+	b := rng.Uint64()
+	switch rng.Intn(4) {
+	case 0:
+		return math.Float64frombits(b)
+	case 1:
+		if m < 52 { // the dropped bits become exactly 100...0
+			s := uint(52 - m)
+			b = b&^(1<<s-1) | 1<<(s-1)
+		}
+	}
+	bias := 1<<(e-1) - 1
+	lo, hi := 1023-bias-m-2, 1023+bias+2
+	exp := uint64(max(0, min(2046, lo+rng.Intn(hi-lo+1))))
+	return math.Float64frombits(b&^(0x7FF<<52) | exp<<52)
+}
+
+// The bit-level rounder must return the reference's exact bits on every
+// format a ladder can name, at every boundary and on random inputs.
+func TestRoundBinaryMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for e := 2; e <= 11; e++ {
+		for m := 1; m <= 52; m++ {
+			xs := roundBinaryProbes(e, m)
+			xs = append(xs, math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+				math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64)
+			for range 300 {
+				xs = append(xs, randomProbe(rng, e, m))
+			}
+			for _, x := range xs {
+				got, want := roundBinary(x, e, m), refRoundBinary(x, e, m)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("roundBinary(%v [%#016x], %d, %d) = %v [%#016x], reference %v [%#016x]",
+						x, math.Float64bits(x), e, m, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
+// FuzzRoundBinary checks the bit-level rounder against the reference on
+// arbitrary inputs; e and m map onto the legal widths 2..11 and 1..52.
+func FuzzRoundBinary(f *testing.F) {
+	f.Add(1.0+math.Ldexp(1, -11), uint8(3), uint8(9)) // binary16 tie
+	f.Add(65520.0, uint8(3), uint8(9))                // binary16 overflow midpoint
+	f.Add(math.Ldexp(1, -134), uint8(6), uint8(6))    // bfloat16 subnormal tie
+	f.Add(math.MaxFloat64, uint8(9), uint8(50))       // custom(11,51) carry to Inf
+	f.Fuzz(func(t *testing.T, x float64, e, m uint8) {
+		eBits, mBits := 2+int(e)%10, 1+int(m)%52
+		got, want := roundBinary(x, eBits, mBits), refRoundBinary(x, eBits, mBits)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("roundBinary(%v [%#016x], %d, %d) = %v [%#016x], reference %v [%#016x]",
+				x, math.Float64bits(x), eBits, mBits, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	})
 }
 
 // The generic rounder must agree exactly with the hand-written format

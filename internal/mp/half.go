@@ -10,45 +10,14 @@ import "math"
 // can explore three-level configurations; the paper-table regenerations
 // never assign it.
 
-// Half-precision limits.
+// Half-precision limits used by the bit codecs. Rounding to binary16 is
+// F16.Round, the generic roundBinary at (5,10).
 const (
-	// halfMaxFinite is the largest finite binary16 value.
-	halfMaxFinite = 65504
-	// halfOverflow is the rounding boundary to infinity: values with
-	// magnitude >= 65520 round away from the largest finite half.
-	halfOverflow = 65520
 	// halfMinNormal is the smallest normal binary16 value, 2^-14.
 	halfMinNormal = 6.103515625e-05
 	// halfSubQuantum is the subnormal quantum, 2^-24.
 	halfSubQuantum = 5.960464477539063e-08
 )
-
-// roundToHalf rounds x to the nearest IEEE-754 binary16 value
-// (round-to-nearest-even), returning it as a float64. The arithmetic runs
-// entirely in float64, whose 53-bit significand represents every
-// intermediate exactly, so no double rounding occurs.
-func roundToHalf(x float64) float64 {
-	if x != x || math.IsInf(x, 0) || x == 0 {
-		return x
-	}
-	ax := math.Abs(x)
-	if ax >= halfOverflow {
-		return math.Inf(int(math.Copysign(1, x)))
-	}
-	if ax < halfMinNormal {
-		// Subnormal range: fixed quantum of 2^-24.
-		return math.RoundToEven(x/halfSubQuantum) * halfSubQuantum
-	}
-	// Normal range: 11 significant bits.
-	f, e := math.Frexp(x) // x = f * 2^e with |f| in [0.5, 1)
-	m := math.RoundToEven(f*(1<<11)) / (1 << 11)
-	y := math.Ldexp(m, e)
-	if math.Abs(y) >= halfOverflow {
-		// Rounding carried the significand past the largest finite half.
-		return math.Inf(int(math.Copysign(1, x)))
-	}
-	return y
-}
 
 // halfBits encodes a half-rounded value as its IEEE-754 binary16 bit
 // pattern (used by the mixed-precision file IO).

@@ -7,6 +7,37 @@ import (
 	"testing/quick"
 )
 
+// halfOverflow is the binary16 rounding boundary to infinity: values with
+// magnitude >= 65520 round away from the largest finite half, 65504.
+const halfOverflow = 65520
+
+// roundToHalf is the hand-written binary16 rounder F16.Round replaced,
+// kept as an independent reference for roundBinary at (5,10). The
+// arithmetic runs entirely in float64, whose 53-bit significand
+// represents every intermediate exactly, so no double rounding occurs.
+func roundToHalf(x float64) float64 {
+	if x != x || math.IsInf(x, 0) || x == 0 {
+		return x
+	}
+	ax := math.Abs(x)
+	if ax >= halfOverflow {
+		return math.Inf(int(math.Copysign(1, x)))
+	}
+	if ax < halfMinNormal {
+		// Subnormal range: fixed quantum of 2^-24.
+		return math.RoundToEven(x/halfSubQuantum) * halfSubQuantum
+	}
+	// Normal range: 11 significant bits.
+	f, e := math.Frexp(x) // x = f * 2^e with |f| in [0.5, 1)
+	m := math.RoundToEven(f*(1<<11)) / (1 << 11)
+	y := math.Ldexp(m, e)
+	if math.Abs(y) >= halfOverflow {
+		// Rounding carried the significand past the largest finite half.
+		return math.Inf(int(math.Copysign(1, x)))
+	}
+	return y
+}
+
 func TestHalfKnownValues(t *testing.T) {
 	cases := []struct{ in, want float64 }{
 		{0, 0},
@@ -29,27 +60,27 @@ func TestHalfKnownValues(t *testing.T) {
 		{2051, 2052},
 	}
 	for _, c := range cases {
-		got := roundToHalf(c.in)
+		got := F16.Round(c.in)
 		if math.IsInf(c.want, 0) {
 			if !math.IsInf(got, int(math.Copysign(1, c.want))) {
-				t.Errorf("roundToHalf(%g) = %g, want %g", c.in, got, c.want)
+				t.Errorf("F16.Round(%g) = %g, want %g", c.in, got, c.want)
 			}
 			continue
 		}
 		if got != c.want {
-			t.Errorf("roundToHalf(%g) = %v, want %v", c.in, got, c.want)
+			t.Errorf("F16.Round(%g) = %v, want %v", c.in, got, c.want)
 		}
 	}
 }
 
 func TestHalfSpecials(t *testing.T) {
-	if !math.IsNaN(roundToHalf(math.NaN())) {
+	if !math.IsNaN(F16.Round(math.NaN())) {
 		t.Error("NaN not preserved")
 	}
-	if !math.IsInf(roundToHalf(math.Inf(1)), 1) || !math.IsInf(roundToHalf(math.Inf(-1)), -1) {
+	if !math.IsInf(F16.Round(math.Inf(1)), 1) || !math.IsInf(F16.Round(math.Inf(-1)), -1) {
 		t.Error("infinities not preserved")
 	}
-	negZero := roundToHalf(math.Copysign(0, -1))
+	negZero := F16.Round(math.Copysign(0, -1))
 	if negZero != 0 || !math.Signbit(negZero) {
 		t.Error("negative zero not preserved")
 	}
@@ -57,8 +88,8 @@ func TestHalfSpecials(t *testing.T) {
 
 func TestHalfIdempotent(t *testing.T) {
 	f := func(x float64) bool {
-		once := roundToHalf(x)
-		twice := roundToHalf(once)
+		once := F16.Round(x)
+		twice := F16.Round(once)
 		if math.IsNaN(once) {
 			return math.IsNaN(twice)
 		}
@@ -77,7 +108,7 @@ func TestHalfMonotone(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		return roundToHalf(a) <= roundToHalf(b)
+		return F16.Round(a) <= F16.Round(b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -110,7 +141,7 @@ func TestHalfValuesAreFixedPoints(t *testing.T) {
 		if math.IsNaN(v) {
 			continue
 		}
-		if got := roundToHalf(v); got != v {
+		if got := F16.Round(v); got != v {
 			t.Fatalf("half value %v (bits %#04x) rounds to %v", v, b, got)
 		}
 	}
@@ -123,7 +154,7 @@ func TestHalfRoundNearest(t *testing.T) {
 	for b := 1; b < 0x7C00; b++ {
 		v := halfFromBits(uint16(b))
 		mid := (prev + v) / 2
-		lo, hi := roundToHalf(math.Nextafter(mid, 0)), roundToHalf(math.Nextafter(mid, v))
+		lo, hi := F16.Round(math.Nextafter(mid, 0)), F16.Round(math.Nextafter(mid, v))
 		if lo != prev {
 			t.Fatalf("below midpoint of (%v, %v): got %v", prev, v, lo)
 		}
@@ -131,7 +162,7 @@ func TestHalfRoundNearest(t *testing.T) {
 			t.Fatalf("above midpoint of (%v, %v): got %v", prev, v, hi)
 		}
 		// The exact midpoint ties to the even significand.
-		tie := roundToHalf(mid)
+		tie := F16.Round(mid)
 		if tie != prev && tie != v {
 			t.Fatalf("midpoint of (%v, %v) rounded to %v", prev, v, tie)
 		}
@@ -168,7 +199,7 @@ func TestHalfIO(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, v := range vals {
-		want := roundToHalf(v)
+		want := F16.Round(v)
 		if math.IsInf(want, 0) {
 			if !math.IsInf(back[i], 1) {
 				t.Errorf("[%d] = %v, want +Inf", i, back[i])
@@ -214,11 +245,12 @@ func TestTapeWithHalfPrecision(t *testing.T) {
 	}
 }
 
-// BenchmarkRoundToHalf measures the extension level's rounding cost.
+// BenchmarkRoundToHalf times the bare bit-level rounder at binary16
+// widths; BenchmarkRoundF16 adds the Prec.Round dispatch.
 func BenchmarkRoundToHalf(b *testing.B) {
 	x := 0.1
 	for i := 0; i < b.N; i++ {
-		x = roundToHalf(x) + 1e-3
+		x = roundBinary(x, 5, 10) + 1e-3
 	}
-	_ = x
+	sinkFloat = x
 }

@@ -39,9 +39,9 @@ func WriteValues(w io.Writer, p Prec, vals []float64) error {
 		case F32:
 			byteOrder.PutUint32(buf[i*4:], math.Float32bits(float32(v)))
 		case F16:
-			byteOrder.PutUint16(buf[i*2:], halfBits(roundToHalf(v)))
+			byteOrder.PutUint16(buf[i*2:], halfBits(F16.Round(v)))
 		case BF16:
-			byteOrder.PutUint16(buf[i*2:], bfloatBits(roundToBfloat(v)))
+			byteOrder.PutUint16(buf[i*2:], bfloatBits(BF16.Round(v)))
 		default:
 			byteOrder.PutUint64(buf[i*8:], math.Float64bits(p.Round(v)))
 		}

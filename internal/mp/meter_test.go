@@ -94,15 +94,21 @@ func (m *eagerMeter) assign(dst VarID, x float64, flops uint64, srcs []VarID) fl
 }
 
 // TestDeferredMeteringMatchesEagerMeter drives random operation
-// sequences over f64, f32, f16, bf16, and custom(8,12) variables through
-// a Tape and the eagerMeter side by side, with precision, scale, and
+// sequences over f64, f32, f16, bf16, and custom variables through a Tape
+// and the eagerMeter side by side, with precision, scale, and
 // semantics changes landing between accesses, and checks Cost, Profile,
 // and every value read or stored at random observation points. Each tape
 // is then frozen and re-run twice through Reset (the second re-run
 // recycles the first's buffers), as a compiled kernel runs it, with
 // charges left pending at each Reset.
 func TestDeferredMeteringMatchesEagerMeter(t *testing.T) {
-	formats := []Prec{F64, F32, F16, BF16, MustCustom(8, 12)}
+	// The custom formats are the cases a per-variable rank or class table
+	// can get wrong: custom(8,23) and custom(8,7) have a built-in's widths
+	// under another Prec value (a cast, but no change of expression
+	// precision), custom(4,24) out-ranks F32 in the same 4-byte class, and
+	// custom(11,30) is an 8-byte format narrower than F64.
+	formats := []Prec{F64, F32, F16, BF16, MustCustom(8, 12),
+		MustCustom(8, 23), MustCustom(8, 7), MustCustom(4, 24), MustCustom(11, 30)}
 	for seed := int64(1); seed <= 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		nv := 1 + rng.Intn(4)

@@ -154,46 +154,42 @@ func (p Prec) wclass() int {
 	}
 }
 
-// widerPrec reports whether a is strictly wider than b. Width is ordered
-// by mantissa bits (the precision a value keeps), with exponent bits
-// breaking ties; for the built-in formats this coincides with the enum
-// order F64 < F32 < F16 < BF16 (widest first), which the fast path
-// exploits. Expression precision under Assign follows this order: the
-// arithmetic runs at the widest operand's format.
-func widerPrec(a, b Prec) bool {
-	if a|b < customFlag {
-		return a < b // built-in enum order is widest-first
-	}
-	am, bm := a.MantBits(), b.MantBits()
-	if am != bm {
-		return am > bm
-	}
-	return a.ExpBits() > b.ExpBits()
-}
+// rank orders formats by width: mantissa bits (the precision a value
+// keeps), with exponent bits (at most 11, so 4 bits) breaking ties. For
+// the built-in formats the order is F64 > F32 > F16 > BF16; formats of
+// equal widths rank equal.
+func (p Prec) rank() uint16 { return uint16(p.MantBits()<<4 | p.ExpBits()) }
+
+// widerPrec reports whether a is strictly wider than b. Expression
+// precision under Assign follows this order: the arithmetic runs at the
+// widest operand's format.
+func widerPrec(a, b Prec) bool { return a.rank() > b.rank() }
 
 // Round narrows x to the format p. For F64 this is the identity; for the
 // narrow formats the value is rounded to nearest-even at the format's
 // precision, including overflow to infinity and subnormal handling.
 //
-// The F64 identity is the common case on every hot path (the original
-// program and every non-demoted variable), so it is split out where the
-// compiler can inline it; narrowing goes through roundNarrow.
+// F64 (the original program and every non-demoted variable) and F32 (the
+// paper's demotion target) resolve inline at every call site the compiler
+// inlines Round into; every other format goes through roundBinary, the
+// one bit-level rounder.
 func (p Prec) Round(x float64) float64 {
-	if p == F64 {
+	switch p {
+	case F64:
 		return x
+	case F32:
+		return float64(float32(x))
 	}
 	return p.roundNarrow(x)
 }
 
-// roundNarrow narrows x for the non-identity formats.
+// roundNarrow is Round for every format but F64, out of line. Array.Set
+// calls it behind its own F64 test: Set with Round inlined exceeds the
+// compiler's inlining budget, and a call per store costs more than the
+// F32 conversion it would save.
 func (p Prec) roundNarrow(x float64) float64 {
-	switch p {
-	case F32:
+	if p == F32 {
 		return float64(float32(x))
-	case F16:
-		return roundToHalf(x)
-	case BF16:
-		return roundToBfloat(x)
 	}
 	return roundBinary(x, p.ExpBits(), p.MantBits())
 }

@@ -190,7 +190,7 @@ func (r *streamReplayer) fill(a *Array) {
 		copy(a.data, rec.values)
 	} else {
 		for i, x := range rec.values {
-			a.data[i] = p.roundNarrow(x)
+			a.data[i] = p.Round(x)
 		}
 	}
 	for i, src := range r.srcs {

@@ -32,6 +32,13 @@ type Tape struct {
 	byteFactor []uint64
 	byteSink   []*uint64
 
+	// class[v] and rank[v] are variable v's precision width class and
+	// width rank (see Prec.wclass and Prec.rank), so Assign's
+	// expression-precision rule is a table read and an integer compare per
+	// source operand.
+	class []uint8
+	rank  []uint16
+
 	// frozen locks the configuration (see Freeze). arrays lists every live
 	// Array so pending traffic can be flushed before any observation or
 	// factor change, and recycled/reuseCursor recycle the previous run's
@@ -65,6 +72,8 @@ func NewTape(n int) *Tape {
 		pendVar:    make([]VarProfile, n),
 		byteFactor: make([]uint64, n),
 		byteSink:   make([]*uint64, n),
+		class:      make([]uint8, n),
+		rank:       make([]uint16, n),
 	}
 	for v := range t.byteFactor {
 		t.refreshVar(VarID(v))
@@ -72,8 +81,12 @@ func NewTape(n int) *Tape {
 	return t
 }
 
-// refreshVar recomputes variable v's precomputed charge factors.
+// refreshVar recomputes variable v's precomputed charge factors and
+// Assign tables.
 func (t *Tape) refreshVar(v VarID) {
+	p := t.prec[v]
+	t.class[v] = uint8(p.wclass())
+	t.rank[v] = p.rank()
 	w := t.storageWidth(v)
 	t.byteFactor[v] = w.Size() * t.scale
 	switch w.wclass() {
@@ -228,21 +241,22 @@ func (t *Tape) AddBytes(p Prec, n uint64) {
 // precision among the destination and the named sources, so a narrow
 // store only buys narrow arithmetic when the whole expression is narrow.
 func (t *Tape) Assign(dst VarID, x float64, flops uint64, srcs ...VarID) float64 {
-	dp := t.prec[dst]
+	dp, dc := t.prec[dst], t.class[dst]
 	pv := &t.pendVar[dst]
-	ep := dp // expression precision: the widest operand wins (widerPrec)
+	// Expression precision: the widest operand wins (widerPrec). Equal
+	// ranks mean equal widths and so the same class.
+	er, ec := t.rank[dst], dc
 	for _, s := range srcs {
-		sp := t.prec[s]
-		if sp != dp {
+		if t.prec[s] != dp {
 			t.pendCasts++
-			t.pendCastPairs[sp.wclass()][dp.wclass()]++
+			t.pendCastPairs[t.class[s]][dc]++
 			pv.Casts++
 		}
-		if widerPrec(sp, ep) {
-			ep = sp
+		if r := t.rank[s]; r > er {
+			er, ec = r, t.class[s]
 		}
 	}
-	t.pendFlops[ep.wclass()] += flops
+	t.pendFlops[ec] += flops
 	pv.Flops += flops
 	return dp.Round(x)
 }
