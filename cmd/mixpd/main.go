@@ -91,6 +91,19 @@ func openService(storeDir string, opts engine.Options) (*engine.Engine, *store.S
 	return engine.New(opts), st, nil
 }
 
+// Connection timeouts. A client that opens a connection and trickles its
+// request headers, or parks an idle keep-alive connection, is cut off
+// instead of holding a connection and its goroutine forever; POST
+// /campaigns bounds its body read itself (bodyReadTimeout). There is
+// deliberately no server-wide ReadTimeout or WriteTimeout: an expired
+// connection read deadline makes the server's background read fail and
+// cancel the request context, and a write deadline cuts the response -
+// either would end a long-lived GET /campaigns/{id}/events SSE stream.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // run wires the engine, the HTTP server, and the signal-driven drain.
 func run(addr string, workers, concurrent, queue, drainSeconds int, accessLog, pprof bool, storeDir string) error {
 	if workers < 0 || concurrent < 0 || queue < 0 || drainSeconds < 0 {
@@ -109,7 +122,12 @@ func run(addr string, workers, concurrent, queue, drainSeconds int, accessLog, p
 	if accessLog {
 		sopts.accessLog = os.Stderr
 	}
-	srv := &http.Server{Addr: addr, Handler: newServer(eng, sopts)}
+	srv := &http.Server{
+		Addr:              addr,
+		Handler:           newServer(eng, sopts),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()

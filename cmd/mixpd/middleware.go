@@ -111,6 +111,10 @@ func (s *statusWriter) Write(b []byte) (int, error) {
 	return n, err
 }
 
+// Unwrap exposes the underlying writer to http.ResponseController, which
+// the submit handler uses to set its body-read deadline.
+func (s *statusWriter) Unwrap() http.ResponseWriter { return s.ResponseWriter }
+
 // Flush forwards to the underlying writer when it streams.
 func (s *statusWriter) Flush() {
 	if f, ok := s.ResponseWriter.(http.Flusher); ok {

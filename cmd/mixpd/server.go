@@ -9,6 +9,7 @@ import (
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux; mounted only with -pprof
 	"strconv"
+	"time"
 
 	"repro/internal/compile"
 	"repro/internal/engine"
@@ -19,6 +20,11 @@ import (
 // maxCampaignBytes bounds a submitted configuration body; the paper's
 // configs are a few KB, so 1 MiB is generous without inviting abuse.
 const maxCampaignBytes = 1 << 20
+
+// bodyReadTimeout bounds reading a submitted configuration body, so a
+// client that stalls mid-upload gets a 400 instead of holding its
+// connection open. A variable only so tests can shorten it.
+var bodyReadTimeout = 30 * time.Second
 
 // serverOptions configures the HTTP surface beyond its engine.
 type serverOptions struct {
@@ -198,6 +204,14 @@ func serveProfile(e *engine.Engine, w http.ResponseWriter, r *http.Request) {
 
 // submit handles POST /campaigns.
 func submit(e *engine.Engine, w http.ResponseWriter, r *http.Request) {
+	// The deadline bounds the body read. It stays set on a rejected body,
+	// so the server's drain of the unread rest fails at once and closes
+	// the connection, and is cleared once the body is accepted, so the
+	// server's background read cannot time out and cancel the request
+	// while the handler works. Setting it fails only for a writer with no
+	// connection underneath, where there is nothing to bound.
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(bodyReadTimeout)) //mixplint:ignore simclock -- a socket deadline is real time by nature; it bounds the HTTP read, not any simulated campaign
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxCampaignBytes+1))
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "read body: " + err.Error()})
@@ -208,6 +222,7 @@ func submit(e *engine.Engine, w http.ResponseWriter, r *http.Request) {
 			errorBody{Error: fmt.Sprintf("campaign configuration exceeds %d bytes", maxCampaignBytes)})
 		return
 	}
+	_ = rc.SetReadDeadline(time.Time{})
 	opts := engine.SubmitOptions{Name: r.URL.Query().Get("name")}
 	if s := r.URL.Query().Get("seed"); s != "" {
 		if opts.Seed, err = strconv.ParseInt(s, 10, 64); err != nil {

@@ -3,6 +3,8 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -371,6 +373,43 @@ func TestServerErrors(t *testing.T) {
 	}
 	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
 		t.Errorf("healthz: status %d", code)
+	}
+}
+
+// TestServerStalledBodyTimesOut sends half a campaign body and then
+// stalls: once the body-read deadline passes the submission is refused
+// with a 400, and no campaign exists.
+func TestServerStalledBodyTimesOut(t *testing.T) {
+	defer func(d time.Duration) { bodyReadTimeout = d }(bodyReadTimeout)
+	bodyReadTimeout = 100 * time.Millisecond
+	eng := engine.New(engine.Options{Workers: 1})
+	defer eng.Close()
+	ts := httptest.NewServer(newServer(eng, serverOptions{}))
+	defer ts.Close()
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprintf(conn, "POST /campaigns HTTP/1.1\r\nHost: mixpd\r\nContent-Type: application/yaml\r\nContent-Length: %d\r\n\r\n%s",
+		len(campaignYAML), campaignYAML[:len(campaignYAML)/2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("no response to a stalled body: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("stalled body: status %d, want 400", resp.StatusCode)
+	}
+	var all []engine.Status
+	if code := getJSON(t, ts.URL+"/campaigns", &all); code != http.StatusOK || len(all) != 0 {
+		t.Errorf("GET /campaigns after a stalled submission: status %d, %d campaigns, want none", code, len(all))
 	}
 }
 

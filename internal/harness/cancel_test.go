@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"path/filepath"
+	"slices"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -201,5 +204,96 @@ func TestRunContextNilAndBackgroundIdentical(t *testing.T) {
 				t.Errorf("%s ctx job %d: diverges from Run", name, i)
 			}
 		}
+	}
+}
+
+// feedProbe rides in the campaign context of TestCancelMidFeed: the
+// feed-probe analysis records every job it starts and cancels the
+// campaign from inside the start of job cancelAt.
+type feedProbe struct {
+	mu       sync.Mutex
+	started  []int
+	cancelAt int
+	cancel   context.CancelFunc
+}
+
+type feedProbeKey struct{}
+
+// feedProbeAnalysis names each job by its index in Spec.Name and reports
+// it as found, so a result shows which job produced it.
+type feedProbeAnalysis struct{}
+
+func (feedProbeAnalysis) Name() string { return "feed-probe-test" }
+func (feedProbeAnalysis) Analyze(job Job) (Report, error) {
+	idx, err := strconv.Atoi(job.Spec.Name)
+	if err != nil {
+		return Report{}, err
+	}
+	p := job.Ctx.Value(feedProbeKey{}).(*feedProbe)
+	p.mu.Lock()
+	p.started = append(p.started, idx)
+	p.mu.Unlock()
+	if idx == p.cancelAt {
+		p.cancel()
+	}
+	return Report{Benchmark: job.Spec.Name, Found: true}, nil
+}
+
+var registerFeedProbe sync.Once
+
+// TestCancelMidFeed cancels a campaign while the dispatcher is part way
+// through its interleaved feed. Two programs of three jobs each,
+// submitted program by program, feed as 0, 3, 1, 4, 2, 5; with one
+// worker, cancel inside job 3 lands while job 1 is next. Exactly the
+// jobs no worker started come back skipped - job 1 too, should the
+// feeder hand it out before it sees the cancellation - and job 3, fed
+// before jobs 1 and 2, keeps its own result.
+func TestCancelMidFeed(t *testing.T) {
+	registerFeedProbe.Do(func() { RegisterAnalysis(feedProbeAnalysis{}) })
+	jobs := programJobs("a", "a", "a", "b", "b", "b")
+	for i := range jobs {
+		jobs[i].Spec.Name = strconv.Itoa(i)
+		jobs[i].Spec.Analysis.Name = "feed-probe-test"
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	probe := &feedProbe{cancelAt: 3, cancel: cancel}
+	ctx = context.WithValue(ctx, feedProbeKey{}, probe)
+
+	var mu sync.Mutex
+	done := map[int]int{}
+	results := Scheduler{
+		Workers: 1,
+		OnJobDone: func(idx int, _ JobResult) {
+			mu.Lock()
+			done[idx]++
+			mu.Unlock()
+		},
+	}.RunContext(ctx, jobs)
+
+	if want := []int{0, 3}; !slices.Equal(probe.started, want) {
+		t.Errorf("started jobs %v, want %v", probe.started, want)
+	}
+	var skipped []int
+	for i, r := range results {
+		if r.Index != i {
+			t.Errorf("result %d has Index %d", i, r.Index)
+		}
+		if done[i] != 1 {
+			t.Errorf("job %d: OnJobDone fired %d times, want once", i, done[i])
+		}
+		if !r.Skipped {
+			continue
+		}
+		skipped = append(skipped, i)
+		if !errors.Is(r.Err, context.Canceled) {
+			t.Errorf("job %d: skipped with err %v, want context.Canceled in the chain", i, r.Err)
+		}
+	}
+	if want := []int{1, 2, 4, 5}; !slices.Equal(skipped, want) {
+		t.Errorf("skipped jobs %v, want %v", skipped, want)
+	}
+	if r := results[3]; r.Err != nil || r.Report.Benchmark != "3" || !r.Report.Found {
+		t.Errorf("job 3 result %+v, want its own clean report", r)
 	}
 }

@@ -20,7 +20,10 @@ import (
 // Scheduler fans analysis jobs out over a pool of workers, reproducing the
 // paper's setup: "the harness offloads the search for each combination of
 // an application/algorithm to a separate node" of the cluster. One worker
-// stands in for one node; results come back in job order regardless of
+// stands in for one node. Jobs are dispatched to workers interleaved by
+// program (see feedOrder), so concurrent workers search different
+// programs; results, telemetry, journal records and the simulated
+// cluster clock stay in submission order regardless of dispatch or
 // completion order, so harness output is deterministic.
 type Scheduler struct {
 	// Workers is the pool size (simulated node count). Zero means
@@ -125,8 +128,8 @@ func (s Scheduler) Run(jobs []Job) []JobResult {
 
 // RunContext is Run under a cancellation context. Once ctx is done,
 // in-flight jobs stop at their next evaluation boundary and report
-// canceled best-so-far analyses, jobs not yet handed to a worker are
-// marked Skipped without running, and retry loops abandon their remaining
+// canceled best-so-far analyses, jobs no worker has started are marked
+// Skipped without running, and retry loops abandon their remaining
 // attempts. Results still come back in submission order, one per job. A
 // background (or never-canceled) context leaves every result, journal
 // record, and telemetry snapshot byte-identical to Run.
@@ -196,12 +199,21 @@ func (s Scheduler) RunContext(ctx context.Context, jobs []Job) []JobResult {
 		job Job
 	}
 	queue := make(chan task)
+	// started records, per job, that a worker began it. A job the context
+	// canceled before that - never handed out, or handed out after the
+	// cancellation - is neither run nor journalled, and is marked skipped
+	// once the pool drains.
+	started := make([]bool, len(jobs))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for t := range queue {
+				if ctx.Err() != nil {
+					continue
+				}
+				started[t.idx] = true
 				if recs != nil {
 					t.job.Telemetry = recs[t.idx]
 				}
@@ -226,39 +238,36 @@ func (s Scheduler) RunContext(ctx context.Context, jobs []Job) []JobResult {
 			}
 		}()
 	}
-	// Feed until the context dies; whatever has not reached a worker by
-	// then is marked skipped so the result slice stays fully populated.
-	// In-flight jobs are not interrupted here - their evaluators observe
-	// the same context and stop at the next evaluation boundary.
-	skippedFrom := -1
+	// Feed in dispatch order until the context dies; whatever no worker
+	// started by then is marked skipped so the result slice stays fully
+	// populated. In-flight jobs are not interrupted here - their
+	// evaluators observe the same context and stop at the next evaluation
+	// boundary.
 feed:
-	for i, j := range jobs {
+	for _, i := range feedOrder(jobs) {
 		if _, resumed := s.Resume[i]; resumed {
 			continue
 		}
 		select {
-		case queue <- task{idx: i, job: j}:
+		case queue <- task{idx: i, job: jobs[i]}:
 		case <-ctx.Done():
-			skippedFrom = i
 			break feed
 		}
 	}
 	close(queue)
 	wg.Wait()
-	if skippedFrom >= 0 {
-		for i := skippedFrom; i < len(jobs); i++ {
-			if _, resumed := s.Resume[i]; resumed {
-				continue
-			}
-			results[i] = JobResult{
-				Index:   i,
-				Skipped: true,
-				Err: fmt.Errorf("harness: job %d (%s/%s) skipped: %w",
-					i, jobs[i].Spec.Name, jobs[i].Spec.Analysis.Algorithm, context.Cause(ctx)),
-			}
-			if s.OnJobDone != nil {
-				s.OnJobDone(i, results[i])
-			}
+	for i := range jobs {
+		if _, resumed := s.Resume[i]; resumed || started[i] {
+			continue
+		}
+		results[i] = JobResult{
+			Index:   i,
+			Skipped: true,
+			Err: fmt.Errorf("harness: job %d (%s/%s) skipped: %w",
+				i, jobs[i].Spec.Name, jobs[i].Spec.Analysis.Algorithm, context.Cause(ctx)),
+		}
+		if s.OnJobDone != nil {
+			s.OnJobDone(i, results[i])
 		}
 	}
 
@@ -266,6 +275,44 @@ feed:
 		s.flushTelemetry(jobs, results, recs, mems, workers)
 	}
 	return results
+}
+
+// feedOrder is the order RunContext hands jobs to workers: the first job
+// of each program, programs in order of first appearance, then the second
+// job of each, and so on. Campaigns list a program's jobs back to back,
+// and every strategy over one program proposes the same early
+// configurations, so a submission-order feed puts the workers on one
+// program at once, where they block on each other's in-flight run-cache
+// entries. The order is a fixed function of the job list and only
+// decides which worker runs a job when; results are indexed by job.
+func feedOrder(jobs []Job) []int {
+	group := map[string]int{}
+	var groups [][]int
+	for i, j := range jobs {
+		// The program is the run cache's Key.Bench; a job with no
+		// resolved benchmark (runOne reports it as an error) falls back
+		// to its configured binary.
+		name := j.Spec.Bin
+		if j.Benchmark != nil {
+			name = j.Benchmark.Name()
+		}
+		g, ok := group[name]
+		if !ok {
+			g = len(groups)
+			group[name] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	order := make([]int, 0, len(jobs))
+	for round := 0; len(order) < len(jobs); round++ {
+		for _, g := range groups {
+			if round < len(g) {
+				order = append(order, g[round])
+			}
+		}
+	}
+	return order
 }
 
 // flushTelemetry folds the per-job recorders into the campaign recorder

@@ -95,3 +95,23 @@ func TestLadderIsDefault(t *testing.T) {
 		t.Error("{f64,f16} reported as default")
 	}
 }
+
+// FuzzParseLadder checks the precisions grammar that ?precisions= and
+// the -precisions flag feed from outside the process: ParseLadder never
+// panics, and every ladder it accepts renders (String) to text it
+// accepts again as an equal ladder.
+func FuzzParseLadder(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		l, err := ParseLadder(s)
+		if err != nil {
+			return
+		}
+		back, err := ParseLadder(l.String())
+		if err != nil {
+			t.Fatalf("ParseLadder(%q) = %v, but its rendering %q is rejected: %v", s, l, l.String(), err)
+		}
+		if !back.Equal(l) {
+			t.Fatalf("ParseLadder(%q) = %v, rendering %q parses back to %v", s, l, l.String(), back)
+		}
+	})
+}
