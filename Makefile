@@ -108,4 +108,5 @@ bench-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundBinary$$' -fuzztime=10s ./internal/mp
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLadder$$' -fuzztime=10s ./internal/mp
+	$(GO) test -run '^$$' -fuzz '^FuzzParseKey$$' -fuzztime=10s ./internal/bench
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s ./internal/yamlite

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/engine"
+	"repro/internal/runcache"
 	"repro/internal/store"
 	"repro/internal/trace"
 )
@@ -59,9 +60,11 @@ type serverOptions struct {
 //	                               (?top=N caps the job table); 409 while
 //	                               running
 //	GET  /campaigns/{id}/cachediag live per-job run-cache attribution
-//	                               (scheduling-dependent diagnostics)
-//	                               plus result-store health when the
-//	                               server runs with -store
+//	                               (scheduling-dependent diagnostics),
+//	                               the engine-wide compile and run
+//	                               caches' counters, plus result-store
+//	                               health when the server runs with
+//	                               -store
 //
 // Every route is wrapped with per-route request metrics and, when
 // enabled, structured access logging. Submission backpressure: a full
@@ -144,6 +147,7 @@ func newServer(e *engine.Engine, opts serverOptions) http.Handler {
 		body := cacheDiagBody{Jobs: diag}
 		cs := e.CompileStats()
 		body.Compile = &cs
+		body.RunCache = &runCacheDiag{Stats: e.Cache().Stats(), SharedExecutions: e.Cache().SharedExecutions()}
 		if opts.store != nil {
 			ss := opts.store.Stats()
 			body.Store = &ss
@@ -307,14 +311,24 @@ func streamEvents(e *engine.Engine, w http.ResponseWriter, r *http.Request) {
 
 // cacheDiagBody is the /cachediag response: the campaign's live
 // per-job run-cache attribution, the engine-wide compile cache's
-// kernel and input-stream counters, plus, when the server runs with
-// -store, the durable tier's health and traffic counters. The compile
-// section is engine-wide (kernels are shared across tenants by
-// design) and scheduling-dependent, like the per-job attribution.
+// kernel and input-stream counters, the engine-wide run cache's
+// counters, plus, when the server runs with -store, the durable tier's
+// health and traffic counters. The compile and run-cache sections are
+// engine-wide (both caches are shared across tenants by design) and
+// scheduling-dependent, like the per-job attribution.
 type cacheDiagBody struct {
-	Jobs    []trace.JobCacheStats `json:"jobs"`
-	Compile *compile.Stats        `json:"compile,omitempty"`
-	Store   *store.Stats          `json:"store,omitempty"`
+	Jobs     []trace.JobCacheStats `json:"jobs"`
+	Compile  *compile.Stats        `json:"compile,omitempty"`
+	RunCache *runCacheDiag         `json:"runcache,omitempty"`
+	Store    *store.Stats          `json:"store,omitempty"`
+}
+
+// runCacheDiag is /cachediag's run-cache section: the full-key table's
+// traffic (runcache.Stats, under its Go field names) and the run-cache
+// misses its execution index served without executing.
+type runCacheDiag struct {
+	runcache.Stats
+	SharedExecutions uint64 `json:"shared_executions"`
 }
 
 // healthBody is the /healthz response: overall status plus the two

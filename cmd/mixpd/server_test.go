@@ -199,6 +199,40 @@ func TestServerCampaignLifecycle(t *testing.T) {
 	}
 }
 
+// TestServerCacheDiagRunCache checks /cachediag's run-cache section
+// after one campaign: the engine-wide cache's full-key counters and the
+// executions its index shared, as the engine reports them. K-means
+// reads only some of its sites, so the campaign's searches propose
+// configurations that share executions.
+func TestServerCacheDiagRunCache(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 2})
+	defer eng.Close()
+	ts := httptest.NewServer(newServer(eng, serverOptions{}))
+	defer ts.Close()
+
+	st := postCampaign(t, ts, "?seed=42")
+	if final := waitDone(t, ts, st.ID); final.State != engine.StateDone {
+		t.Fatalf("state %s, want done (err %q)", final.State, final.Error)
+	}
+	var diag cacheDiagBody
+	if code := getJSON(t, ts.URL+"/campaigns/"+st.ID+"/cachediag", &diag); code != http.StatusOK {
+		t.Fatalf("GET cachediag: status %d", code)
+	}
+	rc := diag.RunCache
+	if rc == nil {
+		t.Fatal("cachediag has no runcache section")
+	}
+	if want := eng.Cache().Stats(); rc.Stats != want {
+		t.Errorf("runcache stats %+v, engine cache %+v", rc.Stats, want)
+	}
+	if rc.Misses == 0 || rc.Hits == 0 || rc.Entries != rc.Misses {
+		t.Errorf("runcache section shows no campaign traffic: %+v", rc.Stats)
+	}
+	if rc.SharedExecutions == 0 || rc.SharedExecutions > rc.Misses || rc.SharedExecutions != eng.Cache().SharedExecutions() {
+		t.Errorf("shared executions %d: want between 1 and the %d misses, and the engine's %d", rc.SharedExecutions, rc.Misses, eng.Cache().SharedExecutions())
+	}
+}
+
 // readSSE consumes a campaign's SSE stream to the final "done" frame
 // and returns the telemetry event names in order.
 func readSSE(t *testing.T, url string) []string {

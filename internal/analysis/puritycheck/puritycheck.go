@@ -33,7 +33,12 @@
 //
 // Calls into other repo packages (mp.Tape, typedep) are trusted: the
 // Tape is the purity boundary and carries the key's semantics and
-// configuration. Justified exceptions use the standard //mixplint:
+// configuration. It is also where reads are recorded: every Tape call
+// that reveals a site's precision marks the site (mp.Tape.ReadSet), and
+// the run cache shares one execution among configurations that agree
+// on every marked site. That sharing is exact only because this
+// analyzer proves a port has no view of its configuration other than
+// the Tape. Justified exceptions use the standard //mixplint:
 // suppression model.
 package puritycheck
 

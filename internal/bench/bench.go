@@ -252,37 +252,6 @@ type Result struct {
 	Measured perfmodel.Measurement
 }
 
-// Cache is a process-wide memo store for deterministic benchmark
-// executions, shared across runners and campaign jobs. Construct with
-// NewCache and install on each Runner's Cache field; see Runner.Cache for
-// the determinism contract.
-type Cache = runcache.Cache[Result]
-
-// NewCache returns an empty run cache. tel, when non-nil, receives the
-// cache's hit/miss/inflight-wait counters and runcache_hit events; because
-// the hit/miss split between concurrent workers depends on real
-// scheduling, keep this recorder separate from any deterministic campaign
-// telemetry (see the runcache package comment).
-func NewCache(tel *telemetry.Recorder) *Cache {
-	return runcache.New(runcache.Options[Result]{Clone: cloneResult, Telemetry: tel})
-}
-
-// cloneResult deep-copies a Result's slice fields so cached values handed
-// to one caller can never be corrupted by another.
-func cloneResult(r Result) Result {
-	if r.Output.Values != nil {
-		out := make([]float64, len(r.Output.Values))
-		copy(out, r.Output.Values)
-		r.Output.Values = out
-	}
-	if r.Profile != nil {
-		prof := make([]mp.VarProfile, len(r.Profile))
-		copy(prof, r.Profile)
-		r.Profile = prof
-	}
-	return r
-}
-
 // Runner executes benchmark configurations under one machine model and
 // measurement protocol.
 type Runner struct {
@@ -300,14 +269,17 @@ type Runner struct {
 	// Cache, when non-nil, memoises executions process-wide: a
 	// configuration already executed under the same benchmark, seed,
 	// demotion semantics, and machine model is served from the shared
-	// store instead of being executed again. Every run is a pure
-	// function of that key, so the served Result is byte-identical to a
-	// fresh execution - callers keep charging simulated build+run seconds
-	// per call and keep observing per-run telemetry, which is what makes
-	// budgets, EV counts, traces, and campaign snapshots invariant to the
-	// cache being on or off. Many runners (one per campaign job) share one
-	// Cache; the machine model is part of the key, so runners with
-	// different models coexist safely.
+	// store instead of being executed again, and a new configuration that
+	// agrees with an earlier execution on every site that execution read
+	// reuses its output, cost, and profile (see Cache). Every run is a
+	// pure function of that key, so the served Result is byte-identical
+	// to a fresh execution - callers keep charging simulated build+run
+	// seconds per call and keep observing per-run telemetry, which is
+	// what makes budgets, EV counts, traces, and campaign snapshots
+	// invariant to the cache being on or off. Many runners (one per
+	// campaign job) share one Cache; the machine model is part of the
+	// key, so runners with different models coexist safely. Nil means
+	// every configuration executes.
 	Cache *Cache
 	// Compiler is the compile cache that executions the run cache does
 	// not serve take their precision-specialized kernel from
@@ -349,31 +321,43 @@ func (p program) PureInit() bool {
 func (p program) Exec(t *mp.Tape, seed int64) []float64 { return p.b.Run(t, seed).Values }
 
 // kernel returns the compiled kernel for one configuration under
-// semantics sem, specializing it on first use.
-func (r *Runner) kernel(b Benchmark, sem runcache.Semantics, cfg Config) *compile.Kernel {
+// semantics sem and machine fingerprint model, specializing it on first
+// use.
+func (r *Runner) kernel(b Benchmark, sem runcache.Semantics, model uint64, cfg Config) *compile.Kernel {
 	return r.compiler().Compile(compile.Key{
 		Bench:     b.Name(),
 		Semantics: sem,
-		Model:     r.modelFingerprint(),
+		Model:     model,
 		Config:    cfg.Key(),
-	}, program{b}, cfg, r.Machine.Time, r.Machine.Energy)
+	}, program{b}, cfg)
 }
 
-// execute runs one configuration through its compiled kernel (the
-// uncached core of Run, RunIR, and RunManualSingle). name is the
+// execute produces one configuration's Result on a run-cache miss (the
+// core of Run, RunIR, and RunManualSingle). The output, cost, and
+// profile come from the cache's execution index when an earlier
+// execution read only sites on which cfg agrees with it, and from a run
+// of the compiled kernel otherwise; the modelled time, energy, and
+// jittered measurement always derive from the full cfg. name is the
 // jitter-stream identity (the benchmark name, with the "/ir" suffix
 // under IR semantics).
 func (r *Runner) execute(b Benchmark, sem runcache.Semantics, name string, cfg Config) Result {
-	k := r.kernel(b, sem, cfg)
-	vals, cost, prof := k.Run(program{b}, r.Seed)
-	modelTime := k.Time(cost)
+	prog := program{b}
+	model := r.modelFingerprint()
+	ek := execKey{bench: b.Name(), seed: r.Seed, sem: sem, model: model, sites: prog.NumSites()}
+	ex, ok := r.Cache.lookup(ek, cfg)
+	if !ok {
+		var reads []bool
+		ex.output.Values, ex.cost, ex.profile, reads = r.kernel(b, sem, model, cfg).Run(prog, r.Seed)
+		r.Cache.record(ek, cfg, reads, ex)
+	}
+	modelTime := r.Machine.Time(ex.cost)
 	rng := rand.New(rand.NewSource(r.jitterSeed(name, cfg)))
 	return Result{
-		Output:    Output{Values: vals},
-		Cost:      cost,
-		Profile:   prof,
+		Output:    ex.output,
+		Cost:      ex.cost,
+		Profile:   ex.profile,
 		ModelTime: modelTime,
-		Energy:    k.Energy(cost),
+		Energy:    r.Machine.Energy(ex.cost),
 		Measured:  perfmodel.Measure(modelTime, r.Runs, rng),
 	}
 }
@@ -386,7 +370,7 @@ func (r *Runner) execute(b Benchmark, sem runcache.Semantics, name string, cfg C
 // before the evaluation sequence begins. It never touches the run cache,
 // the budget, or any result.
 func (r *Runner) Prewarm(b Benchmark, cfg Config) {
-	r.kernel(b, runcache.Source, cfg)
+	r.kernel(b, runcache.Source, r.modelFingerprint(), cfg)
 }
 
 // Run evaluates one configuration. A nil cfg runs the original program. The

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/mp"
@@ -220,4 +222,30 @@ func TestRunnerTelemetry(t *testing.T) {
 			t.Errorf("model_seconds count = %d, want 2", h.Count)
 		}
 	}
+}
+
+// FuzzParseKey checks the configuration-key parser that rebuilds
+// checkpointed and stored configurations: it never panics, and every
+// configuration it accepts spells back to a key that parses to the same
+// configuration. The seed corpus under testdata/fuzz covers built-in
+// digits, custom escapes, unterminated, malformed and out-of-range
+// escapes, and the run cache's restricted spelling with '-' for unread
+// sites, which must never parse as a configuration.
+func FuzzParseKey(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		c, err := ParseKey(s)
+		if err != nil {
+			return
+		}
+		if strings.IndexByte(s, '-') >= 0 {
+			t.Fatalf("ParseKey(%q) accepted a '-', the restricted spelling of an unread site", s)
+		}
+		back, err := ParseKey(c.Key())
+		if err != nil {
+			t.Fatalf("ParseKey(%q) = %v, but its key %q is rejected: %v", s, c, c.Key(), err)
+		}
+		if !reflect.DeepEqual(back, c) {
+			t.Fatalf("ParseKey(%q) = %v, key %q parses back to %v", s, c, c.Key(), back)
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/mp"
@@ -111,7 +112,8 @@ func TestManualSingleProfile(t *testing.T) {
 // TestCacheTransparent checks the core determinism contract: with a shared
 // cache installed, every Run/RunIR/RunManualSingle result is deeply equal
 // to the uncached runner's, while the benchmark executes a fraction of the
-// calls.
+// calls: once per distinct key at most, and once per distinct
+// restriction to the sites the run reads.
 func TestCacheTransparent(t *testing.T) {
 	var coldRuns, cachedRuns int
 	cold := newCacheBench(2, 1, &coldRuns)
@@ -141,13 +143,22 @@ func TestCacheTransparent(t *testing.T) {
 	if !reflect.DeepEqual(coldRes, cachedRes) {
 		t.Fatal("cached results diverge from uncached results")
 	}
-	// 3 rounds x (4 source + 4 IR + 1 manual) calls; the cache executes
-	// each distinct key once.
+	// 3 rounds x (4 source + 4 IR + 1 manual) calls; the run cache
+	// misses once per distinct key.
 	if wantCold := 27; coldRuns != wantCold {
 		t.Fatalf("uncached benchmark executed %d times, want %d", coldRuns, wantCold)
 	}
-	if wantCached := 9; cachedRuns != wantCached {
-		t.Fatalf("cached benchmark executed %d times, want %d (one per distinct key)", cachedRuns, wantCached)
+	if got, want := cachedRunner.Cache.Stats().Misses, uint64(9); got != want {
+		t.Fatalf("run cache missed %d times, want %d (one per distinct key)", got, want)
+	}
+	// cacheBench never reads its hidden site, so {F64,F64} shares nil's
+	// execution and the manual conversion shares {F32,F32}'s: three
+	// executions per semantics tier.
+	if wantCached := 6; cachedRuns != wantCached {
+		t.Fatalf("cached benchmark executed %d times, want %d (one per distinct read-site restriction)", cachedRuns, wantCached)
+	}
+	if got, want := cachedRunner.Cache.SharedExecutions(), uint64(3); got != want {
+		t.Fatalf("execution index shared %d executions, want %d", got, want)
 	}
 }
 
@@ -214,6 +225,133 @@ func TestCacheKeysSeparateRunners(t *testing.T) {
 	}
 	if runs != 4 {
 		t.Fatalf("identical runner re-executed (runs = %d)", runs)
+	}
+}
+
+// branchBench's read set depends on the configuration and on the seed:
+// it always reads site 0, reads site 2 only when site 0 is narrow, and
+// reads site 1 only under odd seeds.
+type branchBench struct {
+	graph *typedep.Graph
+	runs  *int
+}
+
+func newBranchBench(runs *int) *branchBench {
+	g := typedep.NewGraph()
+	for i := 0; i < 3; i++ {
+		g.Add(fmt.Sprintf("v%d", i), "unit", typedep.Scalar)
+	}
+	return &branchBench{graph: g, runs: runs}
+}
+
+func (b *branchBench) Name() string          { return "branch-bench" }
+func (b *branchBench) Kind() Kind            { return Kernel }
+func (b *branchBench) Description() string   { return "test benchmark" }
+func (b *branchBench) Metric() verify.Metric { return verify.MAE }
+func (b *branchBench) Graph() *typedep.Graph { return b.graph }
+
+func (b *branchBench) Run(t *mp.Tape, seed int64) Output {
+	*b.runs++
+	x := t.Value(0, 1/3.0+float64(seed))
+	if t.Prec(0) != mp.F64 {
+		x = t.Assign(2, x/7, 1, 0)
+	}
+	if seed%2 != 0 {
+		x = t.Assign(1, x*x, 1)
+	}
+	return Output{Values: []float64{x}}
+}
+
+// TestCacheSeparatesReadSets checks the execution index against a
+// benchmark whose read set varies with the configuration and the seed:
+// every result equals the uncached runner's, and executions are shared
+// only within one read set - {0} or {0,2} at the even seed, {0,1} or
+// {0,1,2} at the odd one - never across read sets or seeds.
+func TestCacheSeparatesReadSets(t *testing.T) {
+	f64, f32, bf16 := mp.F64, mp.F32, mp.BF16
+	cfgs := []Config{
+		{f64, f64, f64}, // reads {0} (+1 at odd seeds)
+		{f64, f32, bf16},
+		{f64, bf16, f32},
+		{f32, f64, f64}, // reads {0,2} (+1 at odd seeds)
+		{f32, f64, f32},
+		{f32, f32, f64},
+		{f32, bf16, f32},
+		{bf16, f64, f64},
+	}
+	cache := NewCache(nil)
+	var cachedRuns, plainRuns int
+	cached, plain := newBranchBench(&cachedRuns), newBranchBench(&plainRuns)
+	for _, tc := range []struct {
+		seed     int64
+		restrict []string // cfgs restricted to their read sets
+	}{
+		{42, []string{"0--", "0--", "0--", "1-0", "1-1", "1-0", "1-1", "3-0"}},
+		{43, []string{"00-", "01-", "03-", "100", "101", "110", "131", "300"}},
+	} {
+		before := cachedRuns
+		r := NewRunner(tc.seed)
+		r.Cache = cache
+		for _, cfg := range cfgs {
+			if got, want := r.Run(cached, cfg), NewRunner(tc.seed).Run(plain, cfg); !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d, config %s: cached %+v, uncached %+v", tc.seed, cfg.Key(), got, want)
+			}
+		}
+		distinct := map[string]bool{}
+		for _, k := range tc.restrict {
+			distinct[k] = true
+		}
+		if got := cachedRuns - before; got != len(distinct) {
+			t.Errorf("seed %d: %d executions, want %d (one per distinct restriction)", tc.seed, got, len(distinct))
+		}
+	}
+	if plainRuns != 2*len(cfgs) {
+		t.Fatalf("uncached runner executed %d times, want %d", plainRuns, 2*len(cfgs))
+	}
+}
+
+// TestCacheConcurrentSharing runs configurations that share read-site
+// restrictions from many goroutines at once through one cache. Under
+// -race this locks the index's synchronization; every result must still
+// equal the uncached runner's, whichever goroutine executed or recorded
+// first.
+func TestCacheConcurrentSharing(t *testing.T) {
+	b := newCacheBench(2, 1, nil)
+	cfgs := []Config{nil, {mp.F64, mp.F64}, {mp.F32, mp.F64}, {mp.F64, mp.F32}, {mp.F32, mp.F32}}
+	plain := NewRunner(42)
+	var want []Result
+	for _, cfg := range cfgs {
+		want = append(want, plain.Run(b, cfg), plain.RunIR(b, cfg))
+	}
+	want = append(want, plain.RunManualSingle(b))
+
+	r := NewRunner(42)
+	r.Cache = NewCache(nil)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range want {
+				j := (i + g) % len(want) // stagger so goroutines race on different keys
+				var got Result
+				switch {
+				case j == len(want)-1:
+					got = r.RunManualSingle(b)
+				case j%2 == 0:
+					got = r.Run(b, cfgs[j/2])
+				default:
+					got = r.RunIR(b, cfgs[j/2])
+				}
+				if !reflect.DeepEqual(got, want[j]) {
+					t.Errorf("goroutine %d, call %d: cached %+v, uncached %+v", g, j, got, want[j])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if s := r.Cache.Stats(); s.Misses != uint64(len(want)) || r.Cache.SharedExecutions() > s.Misses {
+		t.Errorf("stats %+v, shared %d: want %d misses and no more shared executions than misses", s, r.Cache.SharedExecutions(), len(want))
 	}
 }
 

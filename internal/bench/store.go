@@ -273,5 +273,5 @@ func NewStoredCache(tel *telemetry.Recorder, st *store.Store) *Cache {
 	if st != nil {
 		opts.Tier = storeTier{st: st, tel: tel}
 	}
-	return runcache.New(opts)
+	return newCache(opts)
 }

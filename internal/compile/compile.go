@@ -4,15 +4,14 @@
 //
 // A Kernel specializes a frozen mp.Tape per configuration once - the
 // precision vector and the demotion semantics are applied and locked,
-// every array caches its rounding precision (F64 stores skip rounding
-// entirely in the bulk accessors), and the perf-model time and energy
-// functions are prebound - and then reuses that tape across every run of
-// the same configuration, recycling its buffers run to run. For
-// benchmarks whose input generation is a pure function of the workload
-// seed (bench.PureIniter), the kernel also records the first run's input
-// streams per seed and replays them on every later run, across
-// configurations and semantics, turning bulk random initialisation into
-// straight copies (see mp.Stream).
+// and every array caches its rounding precision (F64 stores skip
+// rounding entirely in the bulk accessors) - and then reuses that tape
+// across every run of the same configuration, recycling its buffers run
+// to run. For benchmarks whose input generation is a pure function of
+// the workload seed (bench.PureIniter), the kernel also records the
+// first run's input streams per seed and replays them on every later
+// run, across configurations and semantics, turning bulk random
+// initialisation into straight copies (see mp.Stream).
 //
 // Kernels are cached by Key - the (bench, semantics, machine fingerprint,
 // precision vector) prefix of the run-cache purity key, i.e. everything
@@ -21,12 +20,13 @@
 // algorithm, another campaign job, or another tenant reuses the
 // specialized kernel, and two programs that share a name but not a shape
 // never share a tape. The cache only memoizes the specialization, never
-// results: every Run call executes the benchmark, and the run cache
-// (internal/runcache) remains the only result memo. Everything a caller
-// can observe - outputs, costs, profiles - is byte-identical to running
-// the program once on a fresh tape with the configuration applied; the
-// mp package documents why (exact deferred charging, recorded
-// pre-rounding value replay).
+// results: every Run call executes the benchmark, and results are
+// memoized only by the run cache (bench.Cache), which also indexes
+// executions by the read set Run reports. Everything a caller can
+// observe - outputs, costs, profiles, read sets - is byte-identical to
+// running the program once on a fresh tape with the configuration
+// applied; the mp package documents why (exact deferred charging,
+// recorded pre-rounding value replay).
 package compile
 
 import (
@@ -140,13 +140,8 @@ func New(tel *telemetry.Recorder) *Compiler {
 // Compile returns the compiled kernel for (key, prog.NumSites()),
 // specializing it from prog and cfg on first use. cfg may be shorter than
 // prog.NumSites (unlisted trailing sites stay F64, as a fresh tape leaves
-// them) and must be the configuration key identified by key.Config. time
-// and energy are the perf-model charge functions of the machine model
-// key.Model fingerprints; they are prebound onto the kernel so per-run
-// post-processing is a straight call (callers with the same fingerprint
-// compute identical values, so whichever caller compiles first is
-// irrelevant).
-func (c *Compiler) Compile(key Key, prog Program, cfg []mp.Prec, time, energy func(mp.Cost) float64) *Kernel {
+// them) and must be the configuration key identified by key.Config.
+func (c *Compiler) Compile(key Key, prog Program, cfg []mp.Prec) *Kernel {
 	kk := kernelKey{key, prog.NumSites()}
 	c.mu.RLock()
 	k := c.kernels[kk]
@@ -170,8 +165,6 @@ func (c *Compiler) Compile(key Key, prog Program, cfg []mp.Prec, time, energy fu
 		name:        key.Bench,
 		precs:       precs,
 		computeOnly: key.Semantics == runcache.IR,
-		Time:        time,
-		Energy:      energy,
 	}
 	c.kernels[kk] = k
 	c.misses.Add(1)
@@ -238,14 +231,6 @@ func (c *Compiler) count(name, bench string) {
 // are immutable after compilation and safe for concurrent Run calls
 // (each run draws a private tape from the pool).
 type Kernel struct {
-	// Time is the prebound perf-model charge function: modelled seconds
-	// as a function of metered cost under the machine model the kernel
-	// was compiled for.
-	Time func(mp.Cost) float64
-	// Energy is the prebound perf-model energy function: modelled joules
-	// as a function of metered cost under the same machine model.
-	Energy func(mp.Cost) float64
-
 	c           *Compiler
 	name        string
 	precs       []mp.Prec
@@ -257,11 +242,12 @@ type Kernel struct {
 func (k *Kernel) NumSites() int { return len(k.precs) }
 
 // Run executes the kernel once against prog with inputs generated from
-// seed and returns the verification values, the metered cost, and the
-// per-variable profile - bit-identical to a run of prog on a fresh tape
-// with the same configuration. prog must have the site count the kernel
-// was compiled for (Compile keys kernels by it).
-func (k *Kernel) Run(prog Program, seed int64) (vals []float64, cost mp.Cost, prof []mp.VarProfile) {
+// seed and returns the verification values, the metered cost, the
+// per-variable profile, and the read set (mp.Tape.ReadSet: the sites
+// whose precision the run observed) - bit-identical to a run of prog on
+// a fresh tape with the same configuration. prog must have the site
+// count the kernel was compiled for (Compile keys kernels by it).
+func (k *Kernel) Run(prog Program, seed int64) (vals []float64, cost mp.Cost, prof []mp.VarProfile, reads []bool) {
 	t, _ := k.tapes.Get().(*mp.Tape)
 	if t == nil {
 		t = k.newTape()
@@ -280,6 +266,7 @@ func (k *Kernel) Run(prog Program, seed int64) (vals []float64, cost mp.Cost, pr
 	vals = prog.Exec(t, seed)
 	cost = t.Cost()
 	prof = t.Profile()
+	reads = t.ReadSet()
 	if recording {
 		k.c.publishStream(k.name, seed, t.FinishRecording())
 		k.c.records.Add(1)
@@ -287,7 +274,7 @@ func (k *Kernel) Run(prog Program, seed int64) (vals []float64, cost mp.Cost, pr
 	}
 	t.Reset()
 	k.tapes.Put(t)
-	return vals, cost, prof
+	return vals, cost, prof, reads
 }
 
 // newTape specializes one frozen tape: configuration and semantics are

@@ -37,7 +37,7 @@ func (p toyProgram) Exec(t *mp.Tape, seed int64) []float64 {
 // freshTape is the reference executor: one single-use tape per run with
 // the configuration applied, and no kernel, tape recycling, or
 // input-stream replay.
-func freshTape(p Program, cfg []mp.Prec, sem runcache.Semantics, seed int64) ([]float64, mp.Cost, []mp.VarProfile) {
+func freshTape(p Program, cfg []mp.Prec, sem runcache.Semantics, seed int64) ([]float64, mp.Cost, []mp.VarProfile, []bool) {
 	t := mp.NewTape(p.NumSites())
 	if sem == runcache.IR {
 		t.SetComputeOnly(true)
@@ -46,7 +46,7 @@ func freshTape(p Program, cfg []mp.Prec, sem runcache.Semantics, seed int64) ([]
 		t.SetPrec(mp.VarID(i), pr)
 	}
 	vals := p.Exec(t, seed)
-	return vals, t.Cost(), t.Profile()
+	return vals, t.Cost(), t.Profile(), t.ReadSet()
 }
 
 func cfgKey(cfg []mp.Prec) string {
@@ -57,15 +57,13 @@ func cfgKey(cfg []mp.Prec) string {
 	return string(b)
 }
 
-func noTime(mp.Cost) float64 { return 0 }
-
 func TestCompileCacheHitsAndMisses(t *testing.T) {
 	c := New(nil)
 	prog := toyProgram{name: "toy", sites: 2, pure: true}
 	key := Key{Bench: "toy", Semantics: runcache.Source, Model: 7, Config: ""}
 
-	k1 := c.Compile(key, prog, nil, noTime, noTime)
-	k2 := c.Compile(key, prog, nil, noTime, noTime)
+	k1 := c.Compile(key, prog, nil)
+	k2 := c.Compile(key, prog, nil)
 	if k1 != k2 {
 		t.Error("same key compiled two distinct kernels")
 	}
@@ -81,7 +79,7 @@ func TestCompileCacheHitsAndMisses(t *testing.T) {
 		{Bench: "toy2", Semantics: runcache.Source, Model: 7, Config: ""},
 	}
 	for _, v := range variants {
-		if c.Compile(v, prog, nil, noTime, noTime) == k1 {
+		if c.Compile(v, prog, nil) == k1 {
 			t.Errorf("key %+v shared the kernel of %+v", v, key)
 		}
 	}
@@ -96,8 +94,8 @@ func TestCompileCacheHitsAndMisses(t *testing.T) {
 // TestKernelMatchesFreshTape locks the byte-identity contract at the
 // compiler's own level: for every configuration and both semantics
 // tiers, a kernel run - first (recording), repeated (replaying, reused
-// tape) - returns exactly the fresh-tape reference's values, cost, and
-// profile.
+// tape) - returns exactly the fresh-tape reference's values, cost,
+// profile, and read set.
 func TestKernelMatchesFreshTape(t *testing.T) {
 	prog := toyProgram{name: "toy", sites: 2, pure: true}
 	configs := [][]mp.Prec{
@@ -109,10 +107,10 @@ func TestKernelMatchesFreshTape(t *testing.T) {
 	for _, sem := range []runcache.Semantics{runcache.Source, runcache.IR} {
 		c := New(nil)
 		for _, cfg := range configs {
-			wantVals, wantCost, wantProf := freshTape(prog, cfg, sem, 42)
-			k := c.Compile(Key{Bench: "toy", Semantics: sem, Model: 1, Config: cfgKey(cfg)}, prog, cfg, noTime, noTime)
+			wantVals, wantCost, wantProf, wantReads := freshTape(prog, cfg, sem, 42)
+			k := c.Compile(Key{Bench: "toy", Semantics: sem, Model: 1, Config: cfgKey(cfg)}, prog, cfg)
 			for run := 0; run < 3; run++ {
-				vals, cost, prof := k.Run(prog, 42)
+				vals, cost, prof, reads := k.Run(prog, 42)
 				if !reflect.DeepEqual(vals, wantVals) {
 					t.Errorf("sem=%v cfg=%q run=%d: values %v, want %v", sem, cfgKey(cfg), run, vals, wantVals)
 				}
@@ -121,6 +119,9 @@ func TestKernelMatchesFreshTape(t *testing.T) {
 				}
 				if !reflect.DeepEqual(prof, wantProf) {
 					t.Errorf("sem=%v cfg=%q run=%d: profile %v, want %v", sem, cfgKey(cfg), run, prof, wantProf)
+				}
+				if !reflect.DeepEqual(reads, wantReads) {
+					t.Errorf("sem=%v cfg=%q run=%d: read set %v, want %v", sem, cfgKey(cfg), run, reads, wantReads)
 				}
 			}
 		}
@@ -138,15 +139,15 @@ func TestKernelsKeyedBySiteCount(t *testing.T) {
 	small := toyProgram{name: "shared", sites: 2}
 	large := toyProgram{name: "shared", sites: 5}
 
-	ks := c.Compile(key, small, cfg, noTime, noTime)
-	kl := c.Compile(key, large, cfg, noTime, noTime)
+	ks := c.Compile(key, small, cfg)
+	kl := c.Compile(key, large, cfg)
 	if ks == kl {
 		t.Fatal("programs with different site counts shared one kernel")
 	}
 	if ks.NumSites() != 2 || kl.NumSites() != 5 {
 		t.Fatalf("kernel sites = %d and %d, want 2 and 5", ks.NumSites(), kl.NumSites())
 	}
-	if c.Compile(key, small, cfg, noTime, noTime) != ks || c.Compile(key, large, cfg, noTime, noTime) != kl {
+	if c.Compile(key, small, cfg) != ks || c.Compile(key, large, cfg) != kl {
 		t.Error("a repeated (key, site count) compiled a fresh kernel")
 	}
 	if s := c.Stats(); s.Kernels != 2 || s.Misses != 2 || s.Hits != 2 {
@@ -156,8 +157,8 @@ func TestKernelsKeyedBySiteCount(t *testing.T) {
 		prog toyProgram
 		k    *Kernel
 	}{{small, ks}, {large, kl}} {
-		wantVals, wantCost, wantProf := freshTape(tc.prog, cfg, runcache.Source, 3)
-		vals, cost, prof := tc.k.Run(tc.prog, 3)
+		wantVals, wantCost, wantProf, _ := freshTape(tc.prog, cfg, runcache.Source, 3)
+		vals, cost, prof, _ := tc.k.Run(tc.prog, 3)
 		if !reflect.DeepEqual(vals, wantVals) || cost != wantCost || !reflect.DeepEqual(prof, wantProf) {
 			t.Errorf("%d sites: kernel run diverges from the fresh tape", tc.prog.sites)
 		}
@@ -173,8 +174,8 @@ func TestKernelsKeyedBySiteCount(t *testing.T) {
 func TestStreamSharing(t *testing.T) {
 	c := New(nil)
 	prog := toyProgram{name: "toy", sites: 2, pure: true}
-	src := c.Compile(Key{Bench: "toy", Semantics: runcache.Source, Model: 1}, prog, nil, noTime, noTime)
-	ir := c.Compile(Key{Bench: "toy", Semantics: runcache.IR, Model: 1}, prog, nil, noTime, noTime)
+	src := c.Compile(Key{Bench: "toy", Semantics: runcache.Source, Model: 1}, prog, nil)
+	ir := c.Compile(Key{Bench: "toy", Semantics: runcache.IR, Model: 1}, prog, nil)
 
 	src.Run(prog, 1) // records seed 1
 	ir.Run(prog, 1)  // replays it: streams cross semantics
@@ -184,7 +185,7 @@ func TestStreamSharing(t *testing.T) {
 	}
 
 	impure := toyProgram{name: "impure", sites: 2, pure: false}
-	k := c.Compile(Key{Bench: "impure", Semantics: runcache.Source, Model: 1}, impure, nil, noTime, noTime)
+	k := c.Compile(Key{Bench: "impure", Semantics: runcache.Source, Model: 1}, impure, nil)
 	k.Run(impure, 1)
 	k.Run(impure, 1)
 	if s := c.Stats(); s.Streams != 2 || s.StreamRecords != 2 || s.StreamReplays != 1 {
@@ -199,8 +200,8 @@ func TestKernelConcurrentRuns(t *testing.T) {
 	c := New(nil)
 	prog := toyProgram{name: "toy", sites: 2, pure: true}
 	cfg := []mp.Prec{mp.F32, mp.F64}
-	k := c.Compile(Key{Bench: "toy", Semantics: runcache.Source, Model: 1, Config: cfgKey(cfg)}, prog, cfg, noTime, noTime)
-	wantVals, wantCost, wantProf := freshTape(prog, cfg, runcache.Source, 7)
+	k := c.Compile(Key{Bench: "toy", Semantics: runcache.Source, Model: 1, Config: cfgKey(cfg)}, prog, cfg)
+	wantVals, wantCost, wantProf, _ := freshTape(prog, cfg, runcache.Source, 7)
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
@@ -209,7 +210,7 @@ func TestKernelConcurrentRuns(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				vals, cost, prof := k.Run(prog, 7)
+				vals, cost, prof, _ := k.Run(prog, 7)
 				if !reflect.DeepEqual(vals, wantVals) || cost != wantCost || !reflect.DeepEqual(prof, wantProf) {
 					errs <- "concurrent run diverged from the fresh tape"
 					return

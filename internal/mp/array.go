@@ -22,8 +22,11 @@ type Array struct {
 }
 
 // NewArray allocates an n-element buffer for variable v and charges its
-// footprint at the width the configuration assigns to v.
+// footprint at the width the configuration assigns to v. It marks v read:
+// the Array caches v's precision, and every accessor rounds and charges
+// through it.
 func (t *Tape) NewArray(v VarID, n int) *Array {
+	t.vars[v].read = true
 	w := t.storageWidth(v)
 	bytes := uint64(n) * w.Size() * t.scale
 	switch w.wclass() {
@@ -36,7 +39,7 @@ func (t *Tape) NewArray(v VarID, n int) *Array {
 	}
 	a := t.reuseArray(v, n)
 	if a == nil {
-		a = &Array{tape: t, v: v, data: make([]float64, n), prec: t.prec[v]}
+		a = &Array{tape: t, v: v, data: make([]float64, n), prec: t.vars[v].prec}
 	}
 	t.arrays = append(t.arrays, a)
 	return a

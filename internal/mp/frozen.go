@@ -59,14 +59,17 @@ func (t *Tape) flushMeter() {
 }
 
 // Reset rewinds a frozen tape for the next run of the same compiled
-// kernel: cost and per-variable profiles zero, the scale returns to 1,
-// any attached input stream detaches, and the run's arrays move to the
-// recycle pool so the next run's allocations can reuse their buffers.
-// The precision vector and semantics persist - they are the kernel's
-// identity.
+// kernel: cost and per-variable profiles zero, the read set empties, the
+// scale returns to 1, any attached input stream detaches, and the run's
+// arrays move to the recycle pool so the next run's allocations can
+// reuse their buffers. The precision vector and semantics persist - they
+// are the kernel's identity.
 func (t *Tape) Reset() {
 	if !t.frozen {
 		panic("mp: Reset on an unfrozen tape; only a frozen configuration can be rewound")
+	}
+	for v := range t.vars {
+		t.vars[v].read = false
 	}
 	t.cost = Cost{}
 	clear(t.perVar)
@@ -105,6 +108,6 @@ func (t *Tape) reuseArray(v VarID, n int) *Array {
 	t.reuseCursor++
 	clear(a.data)
 	a.pending = 0
-	a.prec = t.prec[v]
+	a.prec = t.vars[v].prec
 	return a
 }

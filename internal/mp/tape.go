@@ -17,9 +17,12 @@ import "fmt"
 // sum(n_i)*f == sum(n_i*f) exactly in uint64 arithmetic: the flushed
 // counters equal what charging every call on the spot would produce.
 //
+// The tape also records its read set, the variables whose precision the
+// run observed (see ReadSet).
+//
 // The zero Tape is not usable; construct with NewTape.
 type Tape struct {
-	prec        []Prec
+	vars        []varState
 	cost        Cost
 	scale       uint64
 	perVar      []VarProfile
@@ -31,13 +34,6 @@ type Tape struct {
 	// Array's pending traffic is a multiply and two adds with no branching.
 	byteFactor []uint64
 	byteSink   []*uint64
-
-	// class[v] and rank[v] are variable v's precision width class and
-	// width rank (see Prec.wclass and Prec.rank), so Assign's
-	// expression-precision rule is a table read and an integer compare per
-	// source operand.
-	class []uint8
-	rank  []uint16
 
 	// frozen locks the configuration (see Freeze). arrays lists every live
 	// Array so pending traffic can be flushed before any observation or
@@ -62,18 +58,28 @@ type Tape struct {
 	rep *streamReplayer
 }
 
+// varState is one variable's configured precision, its width class and
+// width rank (see Prec.wclass and Prec.rank), and whether the run has
+// observed the precision. One record per variable keeps Assign's
+// expression-precision rule to one table read, one integer compare and
+// one flag store per operand, behind a single bounds check.
+type varState struct {
+	prec  Prec
+	rank  uint16
+	class uint8
+	read  bool
+}
+
 // NewTape returns a Tape for a program with n tunable variables, all at
 // double precision (the original program).
 func NewTape(n int) *Tape {
 	t := &Tape{
-		prec:       make([]Prec, n),
+		vars:       make([]varState, n),
 		scale:      1,
 		perVar:     make([]VarProfile, n),
 		pendVar:    make([]VarProfile, n),
 		byteFactor: make([]uint64, n),
 		byteSink:   make([]*uint64, n),
-		class:      make([]uint8, n),
-		rank:       make([]uint16, n),
 	}
 	for v := range t.byteFactor {
 		t.refreshVar(VarID(v))
@@ -84,9 +90,9 @@ func NewTape(n int) *Tape {
 // refreshVar recomputes variable v's precomputed charge factors and
 // Assign tables.
 func (t *Tape) refreshVar(v VarID) {
-	p := t.prec[v]
-	t.class[v] = uint8(p.wclass())
-	t.rank[v] = p.rank()
+	s := &t.vars[v]
+	s.class = uint8(s.prec.wclass())
+	s.rank = s.prec.rank()
 	w := t.storageWidth(v)
 	t.byteFactor[v] = w.Size() * t.scale
 	switch w.wclass() {
@@ -158,11 +164,11 @@ func (t *Tape) storageWidth(v VarID) Prec {
 	if t.computeOnly {
 		return F64
 	}
-	return t.prec[v]
+	return t.vars[v].prec
 }
 
 // NumVars returns the number of tunable variables the tape was built for.
-func (t *Tape) NumVars() int { return len(t.prec) }
+func (t *Tape) NumVars() int { return len(t.vars) }
 
 // SetPrec assigns precision p to variable v; v's live arrays narrow their
 // subsequent stores through p. It panics on an out-of-range ID, which
@@ -173,7 +179,7 @@ func (t *Tape) SetPrec(v VarID, p Prec) {
 		panic("mp: SetPrec on a frozen tape; the configuration is fixed at Freeze")
 	}
 	t.flush() // pending traffic was accrued at the old width
-	t.prec[v] = p
+	t.vars[v].prec = p
 	t.refreshVar(v)
 	for _, a := range t.arrays {
 		if a.v == v {
@@ -182,8 +188,30 @@ func (t *Tape) SetPrec(v VarID, p Prec) {
 	}
 }
 
-// Prec reports the precision the configuration assigns to variable v.
-func (t *Tape) Prec(v VarID) Prec { return t.prec[v] }
+// Prec reports the precision the configuration assigns to variable v,
+// marking v read.
+func (t *Tape) Prec(v VarID) Prec {
+	s := &t.vars[v]
+	s.read = true
+	return s.prec
+}
+
+// ReadSet reports, indexed by VarID, which variables' precision the run
+// has observed since NewTape or the last Reset. A benchmark sees its
+// configuration only through the tape, and every call that reveals a
+// precision marks its variables: Assign (destination and every source),
+// Value, Prec, String (all of them), and NewArray, whose Array caches
+// the precision every accessor and ReadInto/WriteFrom use. A run that
+// read the set R therefore repeats step for step under any
+// configuration that agrees with this one on R. The caller owns the
+// returned slice.
+func (t *Tape) ReadSet() []bool {
+	out := make([]bool, len(t.vars))
+	for v := range t.vars {
+		out[v] = t.vars[v].read
+	}
+	return out
+}
 
 // Cost returns the work metered so far.
 func (t *Tape) Cost() Cost {
@@ -241,19 +269,23 @@ func (t *Tape) AddBytes(p Prec, n uint64) {
 // precision among the destination and the named sources, so a narrow
 // store only buys narrow arithmetic when the whole expression is narrow.
 func (t *Tape) Assign(dst VarID, x float64, flops uint64, srcs ...VarID) float64 {
-	dp, dc := t.prec[dst], t.class[dst]
+	d := &t.vars[dst]
+	d.read = true
+	dp, dc := d.prec, d.class
 	pv := &t.pendVar[dst]
 	// Expression precision: the widest operand wins (widerPrec). Equal
 	// ranks mean equal widths and so the same class.
-	er, ec := t.rank[dst], dc
+	er, ec := d.rank, dc
 	for _, s := range srcs {
-		if t.prec[s] != dp {
+		sv := &t.vars[s]
+		sv.read = true
+		if sv.prec != dp {
 			t.pendCasts++
-			t.pendCastPairs[t.class[s]][dc]++
+			t.pendCastPairs[sv.class][dc]++
 			pv.Casts++
 		}
-		if r := t.rank[s]; r > er {
-			er, ec = r, t.class[s]
+		if sv.rank > er {
+			er, ec = sv.rank, sv.class
 		}
 	}
 	t.pendFlops[ec] += flops
@@ -264,17 +296,22 @@ func (t *Tape) Assign(dst VarID, x float64, flops uint64, srcs ...VarID) float64
 // Value rounds x to the precision of v without charging any work. It models
 // reading a constant or an input value through a typed variable.
 func (t *Tape) Value(v VarID, x float64) float64 {
-	return t.prec[v].Round(x)
+	s := &t.vars[v]
+	s.read = true
+	return s.prec.Round(x)
 }
 
 // String summarises the configuration: the variable count and how many
-// variables the configuration demotes below double precision.
+// variables the configuration demotes below double precision. The count
+// depends on every variable's precision, so it marks them all read.
 func (t *Tape) String() string {
 	demoted := 0
-	for _, p := range t.prec {
-		if p != F64 {
+	for v := range t.vars {
+		s := &t.vars[v]
+		s.read = true
+		if s.prec != F64 {
 			demoted++
 		}
 	}
-	return fmt.Sprintf("tape{vars: %d, demoted: %d}", len(t.prec), demoted)
+	return fmt.Sprintf("tape{vars: %d, demoted: %d}", len(t.vars), demoted)
 }

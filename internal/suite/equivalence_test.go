@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/bench"
@@ -157,6 +158,150 @@ func TestCompiledInterpretedEquivalence(t *testing.T) {
 			}
 			if s.Hits == 0 {
 				t.Errorf("repeated configurations never hit the compile cache: %+v", s)
+			}
+		})
+	}
+}
+
+// countingBench counts a benchmark's executions. It forwards the
+// optional interfaces the runner consults, so kernels, input-stream
+// replay and results are those of the bare benchmark.
+type countingBench struct {
+	bench.Benchmark
+	runs int
+}
+
+func (c *countingBench) Run(t *mp.Tape, seed int64) bench.Output {
+	c.runs++
+	return c.Benchmark.Run(t, seed)
+}
+
+func (c *countingBench) HiddenVars() int {
+	if h, ok := c.Benchmark.(bench.HiddenVarser); ok {
+		return h.HiddenVars()
+	}
+	return 0
+}
+
+func (c *countingBench) PureInit() bool {
+	p, ok := c.Benchmark.(bench.PureIniter)
+	return ok && p.PureInit()
+}
+
+// TestExecutionIndexExact checks, for all 17 ports, that the run cache's
+// execution index shares executions exactly. Configurations are drawn
+// with a fixed seed on three ladders (f64,f32; f64,f32,bf16; one custom
+// format), each followed by a variant that changes only sites the drawn
+// configuration's run did not read, plus the all-double pair nil and
+// NewConfig(n), which differ only in their keys. Through Run, RunIR and
+// RunManualSingle, a runner with a fresh cache must return Results
+// bit-identical - outputs, cost, profile, model time, energy and the
+// jittered measurement; DeepEqual at the bit level, so the NaNs of
+// diverging configurations compare equal - to an uncached runner's,
+// while executing exactly once per distinct (semantics, read set,
+// configuration restricted to the read set). The read sets come from
+// fresh tapes, independently of the index.
+func TestExecutionIndexExact(t *testing.T) {
+	ladders := [][]mp.Prec{
+		{mp.F64, mp.F32},
+		{mp.F64, mp.F32, mp.BF16},
+		{mp.F64, mp.MustCustom(8, 12)},
+	}
+	for _, b := range All() {
+		t.Run(b.Name(), func(t *testing.T) {
+			t.Parallel()
+			n := b.Graph().NumVars()
+			sites := n
+			if h, ok := b.(bench.HiddenVarser); ok {
+				sites += h.HiddenVars()
+			}
+			counted := &countingBench{Benchmark: b}
+			cached := bench.NewRunner(42)
+			cached.Cache = bench.NewCache(nil)
+			cached.Compiler = compile.New(nil)
+			plain := bench.NewRunner(42)
+			plain.Compiler = compile.New(nil)
+
+			// readsOf runs cfg once on a fresh tape for its read set;
+			// restricted spells (semantics, read set, cfg restricted to
+			// it), and execs collects the distinct spellings the calls
+			// reach.
+			readSets := map[string][]bool{}
+			readsOf := func(ir bool, cfg bench.Config) []bool {
+				id := fmt.Sprintf("%t/%s", ir, cfg.Key())
+				if reads, ok := readSets[id]; ok {
+					return reads
+				}
+				tape := mp.NewTape(sites)
+				tape.SetComputeOnly(ir)
+				for i, p := range cfg {
+					tape.SetPrec(mp.VarID(i), p)
+				}
+				b.Run(tape, cached.Seed)
+				readSets[id] = tape.ReadSet()
+				return readSets[id]
+			}
+			restricted := func(ir bool, cfg bench.Config) string {
+				key := fmt.Sprintf("%t/", ir)
+				for i, read := range readsOf(ir, cfg) {
+					switch {
+					case !read:
+						key += "-"
+					case i < len(cfg):
+						key += cfg[i : i+1].Key()
+					default:
+						key += bench.Config{mp.F64}.Key()
+					}
+				}
+				return key
+			}
+			execs := map[string]bool{}
+			check := func(what string, got, want bench.Result) {
+				t.Helper()
+				if !resultsBitIdentical(got, want) {
+					t.Errorf("%s: cached result diverges from the uncached runner\ncached:   %+v\nuncached: %+v", what, got, want)
+				}
+			}
+
+			rng := rand.New(rand.NewSource(7))
+			cfgs := []bench.Config{nil, bench.NewConfig(n)}
+			for _, ladder := range ladders {
+				for draw := 0; draw < 2; draw++ {
+					cfg := bench.NewConfig(n)
+					for i := range cfg {
+						cfg[i] = ladder[rng.Intn(len(ladder))]
+					}
+					cfgs = append(cfgs, cfg)
+					variant := cfg.Clone()
+					for i, read := range readsOf(false, cfg)[:n] {
+						if !read {
+							rung := slices.Index(ladder, cfg[i])
+							variant[i] = ladder[(rung+1)%len(ladder)]
+						}
+					}
+					if variant.Key() != cfg.Key() {
+						cfgs = append(cfgs, variant)
+					}
+				}
+			}
+			for _, cfg := range cfgs {
+				label := "reference"
+				if cfg != nil {
+					label = cfg.Key()
+				}
+				execs[restricted(false, cfg)] = true
+				check("Run/"+label, cached.Run(counted, cfg), plain.Run(b, cfg))
+				execs[restricted(true, cfg)] = true
+				check("RunIR/"+label, cached.RunIR(counted, cfg), plain.RunIR(b, cfg))
+			}
+			execs[restricted(false, bench.AllSingle(sites))] = true
+			check("RunManualSingle", cached.RunManualSingle(counted), plain.RunManualSingle(b))
+
+			if counted.runs != len(execs) {
+				t.Errorf("cached runner executed %d times, want %d (one per distinct read-site restriction)", counted.runs, len(execs))
+			}
+			if cached.Cache.SharedExecutions() == 0 {
+				t.Error("the execution index never shared an execution, not even nil with the all-double configuration")
 			}
 		})
 	}
