@@ -54,7 +54,7 @@ tables:
 # bench runs the performance suite 5 times with allocation stats: the tape
 # and cache micro-benchmarks plus the campaign pairs - shared-vs-cold
 # cache (BenchmarkCampaignSharedCache / BenchmarkCampaignColdCache; the
-# cold side runs every proposal through its compiled kernel) and
+# cold side executes every proposal) and
 # two-vs-three-rung ladder depth (BenchmarkCampaignLadder2 /
 # BenchmarkCampaignLadder3). The campaign
 # benchmarks pin -benchtime=5x so both halves of each pair do identical
@@ -95,7 +95,7 @@ store-smoke:
 # bench-smoke compiles and runs every benchmark once (CI's guard against
 # benchmark rot; no timing value). The BenchmarkCampaign pattern covers
 # every campaign benchmark - shared and cold cache, two- and three-rung
-# ladders - so the compiled evaluation path runs end to end.
+# ladders - so the evaluation path runs end to end.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/mp ./internal/bench ./internal/runcache
 	$(GO) test -run '^$$' -bench 'BenchmarkCampaign' -benchtime=1x .
@@ -109,4 +109,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundBinary$$' -fuzztime=10s ./internal/mp
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLadder$$' -fuzztime=10s ./internal/mp
 	$(GO) test -run '^$$' -fuzz '^FuzzParseKey$$' -fuzztime=10s ./internal/bench
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime=10s ./internal/bench
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s ./internal/yamlite

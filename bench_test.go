@@ -94,9 +94,9 @@ func BenchmarkCampaignSharedCache(b *testing.B) {
 
 // BenchmarkCampaignColdCache measures the same kernel campaign with
 // caching disabled: every job re-executes every configuration it
-// proposes, as the pre-cache harness did, so every proposal runs through
-// its compiled kernel. This is the campaign number EXPERIMENTS.md tracks
-// for the evaluation path.
+// proposes, as the pre-cache harness did, so every proposal runs on the
+// compiler's pooled tapes. This is the campaign number EXPERIMENTS.md
+// tracks for the evaluation path.
 func BenchmarkCampaignColdCache(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		report.Run(report.Options{Workers: 2, KernelsOnly: true, NoCache: true})

@@ -61,8 +61,8 @@ type serverOptions struct {
 //	                               running
 //	GET  /campaigns/{id}/cachediag live per-job run-cache attribution
 //	                               (scheduling-dependent diagnostics),
-//	                               the engine-wide compile and run
-//	                               caches' counters, plus result-store
+//	                               the engine-wide compiler's and run
+//	                               cache's counters, plus result-store
 //	                               health when the server runs with
 //	                               -store
 //
@@ -310,12 +310,12 @@ func streamEvents(e *engine.Engine, w http.ResponseWriter, r *http.Request) {
 }
 
 // cacheDiagBody is the /cachediag response: the campaign's live
-// per-job run-cache attribution, the engine-wide compile cache's
-// kernel and input-stream counters, the engine-wide run cache's
-// counters, plus, when the server runs with -store, the durable tier's
-// health and traffic counters. The compile and run-cache sections are
-// engine-wide (both caches are shared across tenants by design) and
-// scheduling-dependent, like the per-job attribution.
+// per-job run-cache attribution, the engine-wide compiler's tape-pool
+// and input-stream counters, the engine-wide run cache's counters,
+// plus, when the server runs with -store, the durable tier's health and
+// traffic counters. The compile and run-cache sections are engine-wide
+// (the compiler and the run cache are shared across tenants by design)
+// and scheduling-dependent, like the per-job attribution.
 type cacheDiagBody struct {
 	Jobs     []trace.JobCacheStats `json:"jobs"`
 	Compile  *compile.Stats        `json:"compile,omitempty"`

@@ -1,13 +1,12 @@
 // Package keycheck defines the fingerprint-completeness analyzer: the
 // guard against the "field added in PR 12 silently poisons every PR 11
-// store" bug class. The run cache, the durable result store, and the
-// compile cache all address results by fingerprints and versioned
-// codecs (Config.AppendKey, runcache.Key.AppendBinary, the runner's
-// machine-model fingerprint behind StoreFingerprint, EncodeResult);
-// a struct field that can change a result but is not mixed into its
-// fingerprint or codec makes two different configurations collide on
-// one stored record, and nothing fails until the wrong result is
-// replayed.
+// store" bug class. The run cache and the durable result store address
+// results by fingerprints and versioned codecs (Config.AppendKey,
+// runcache.Key.AppendBinary, the runner's machine-model fingerprint
+// behind StoreFingerprint, EncodeResult); a struct field that can change
+// a result but is not mixed into its fingerprint or codec makes two
+// different configurations collide on one stored record, and nothing
+// fails until the wrong result is replayed.
 //
 // The analyzer is annotation-driven. A fingerprint or codec writer
 // declares its coverage obligation in its doc comment:

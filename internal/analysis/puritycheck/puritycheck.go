@@ -1,21 +1,21 @@
 // Package puritycheck defines an analyzer that proves the caching
 // contract every performance layer of this repo rests on: a benchmark's
 // Run/RunIR body (and everything it reaches in its package, including
-// the compiled-kernel execution path in internal/compile) must be a
-// pure function of the five-input purity key — bench, seed, semantics,
-// machine fingerprint, and configuration. The run cache (PR 3), the
-// durable result store (PR 7), and the compile cache (PR 8) all replay
-// a stored result instead of executing; any other input silently makes
+// the execution path in internal/compile) must be a pure function of
+// the five-input purity key — bench, seed, semantics, machine
+// fingerprint, and configuration. The run cache and the durable result
+// store replay a stored result instead of executing, and the compiler
+// replays recorded input streams; any other input silently makes
 // replayed results diverge from fresh ones, and only a lucky
 // equivalence test would notice.
 //
 // Roots are function declarations named Run or RunIR that take a
 // parameter named seed — the port signature `Run(t *mp.Tape, seed
-// int64)` and the compiled-kernel signature `Run(prog Program, seed
-// int64)`. From each root the analyzer walks the same-package static
-// call graph (astq.CallGraph: any reference to a package-local
-// function counts, so helpers passed as values are covered) and flags,
-// anywhere in the reachable bodies:
+// int64)` and the compiler's `Run(prog Program, cfg []mp.Prec, sem
+// runcache.Semantics, seed int64)`. From each root the analyzer walks
+// the same-package static call graph (astq.CallGraph: any reference to
+// a package-local function counts, so helpers passed as values are
+// covered) and flags, anywhere in the reachable bodies:
 //
 //   - wall-clock reads: the astq.WallClock time functions;
 //   - environment and host-state reads: any call into os, os/exec, or

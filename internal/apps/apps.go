@@ -48,8 +48,8 @@ func (a *app) Graph() *typedep.Graph { return a.graph }
 
 // PureInit declares that every application draws its random inputs in a
 // configuration-independent prefix of Run (all generators come from
-// t.Rand seeded by the workload seed alone), so compiled kernels may
-// record one input stream per seed and replay it across configurations
+// t.Rand seeded by the workload seed alone), so the compiler may record
+// one input stream per seed and replay it across configurations
 // (see bench.PureIniter). The cross-configuration equivalence tests lock
 // the claim for every port.
 func (a *app) PureInit() bool { return true }

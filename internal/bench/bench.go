@@ -100,10 +100,10 @@ func hiddenVars(b Benchmark) int {
 // draws and bulk array initialisations in Run never depends on the
 // precision configuration (every port of the suite draws its inputs in a
 // configuration-independent prefix of Run). Declaring it lets the
-// compiled kernels record one input stream per (benchmark, seed) and
-// replay it across every configuration and semantics tier; benchmarks
-// without the declaration still compile, they just regenerate inputs
-// each run.
+// compiler (internal/compile) record one input stream per (benchmark,
+// seed) and replay it across every configuration and semantics tier;
+// benchmarks without the declaration still run, they just regenerate
+// inputs each run.
 type PureIniter interface {
 	// PureInit reports whether input generation is seed-pure.
 	PureInit() bool
@@ -281,12 +281,11 @@ type Runner struct {
 	// key, so runners with different models coexist safely. Nil means
 	// every configuration executes.
 	Cache *Cache
-	// Compiler is the compile cache that executions the run cache does
-	// not serve take their precision-specialized kernel from
-	// (internal/compile). Nil means the process-wide shared compiler,
-	// which maximises kernel reuse across campaigns and tenants (the
-	// machine-model fingerprint keyed into every kernel keeps different
-	// models apart).
+	// Compiler runs the executions the run cache does not serve, on
+	// tapes pooled per program and with input streams recorded per
+	// (benchmark, seed) (internal/compile). Nil means the process-wide
+	// shared compiler, which maximises tape and stream reuse across
+	// campaigns and tenants; neither depends on the machine model.
 	Compiler *compile.Compiler
 }
 
@@ -296,12 +295,11 @@ func NewRunner(seed int64) *Runner {
 	return &Runner{Machine: perfmodel.Default(), Runs: perfmodel.DefaultRuns, Seed: seed}
 }
 
-// sharedCompiler is the process-wide compile cache runners fall back to:
-// kernel reuse wants the widest possible sharing, and the machine-model
-// fingerprint in every compile key keeps distinct models safe.
+// sharedCompiler is the process-wide compiler runners fall back to: tape
+// and stream reuse want the widest possible sharing.
 var sharedCompiler = compile.New(nil)
 
-// compiler returns the compile cache in effect for this runner.
+// compiler returns the compiler in effect for this runner.
 func (r *Runner) compiler() *compile.Compiler {
 	if r.Compiler != nil {
 		return r.Compiler
@@ -320,34 +318,21 @@ func (p program) PureInit() bool {
 }
 func (p program) Exec(t *mp.Tape, seed int64) []float64 { return p.b.Run(t, seed).Values }
 
-// kernel returns the compiled kernel for one configuration under
-// semantics sem and machine fingerprint model, specializing it on first
-// use.
-func (r *Runner) kernel(b Benchmark, sem runcache.Semantics, model uint64, cfg Config) *compile.Kernel {
-	return r.compiler().Compile(compile.Key{
-		Bench:     b.Name(),
-		Semantics: sem,
-		Model:     model,
-		Config:    cfg.Key(),
-	}, program{b}, cfg)
-}
-
 // execute produces one configuration's Result on a run-cache miss (the
 // core of Run, RunIR, and RunManualSingle). The output, cost, and
 // profile come from the cache's execution index when an earlier
 // execution read only sites on which cfg agrees with it, and from a run
-// of the compiled kernel otherwise; the modelled time, energy, and
+// on the compiler otherwise; the modelled time, energy, and
 // jittered measurement always derive from the full cfg. name is the
 // jitter-stream identity (the benchmark name, with the "/ir" suffix
 // under IR semantics).
 func (r *Runner) execute(b Benchmark, sem runcache.Semantics, name string, cfg Config) Result {
 	prog := program{b}
-	model := r.modelFingerprint()
-	ek := execKey{bench: b.Name(), seed: r.Seed, sem: sem, model: model, sites: prog.NumSites()}
+	ek := execKey{bench: b.Name(), seed: r.Seed, sem: sem, model: r.modelFingerprint(), sites: prog.NumSites()}
 	ex, ok := r.Cache.lookup(ek, cfg)
 	if !ok {
 		var reads []bool
-		ex.output.Values, ex.cost, ex.profile, reads = r.kernel(b, sem, model, cfg).Run(prog, r.Seed)
+		ex.output.Values, ex.cost, ex.profile, reads = r.compiler().Run(prog, cfg, sem, r.Seed)
 		r.Cache.record(ek, cfg, reads, ex)
 	}
 	modelTime := r.Machine.Time(ex.cost)
@@ -360,17 +345,6 @@ func (r *Runner) execute(b Benchmark, sem runcache.Semantics, name string, cfg C
 		Energy:    r.Machine.Energy(ex.cost),
 		Measured:  perfmodel.Measure(modelTime, r.Runs, rng),
 	}
-}
-
-// Prewarm specializes the compiled kernel for one source-level
-// configuration without executing it, so a later Run of the same
-// configuration - by this runner or any other sharing the compiler -
-// starts on a compile-cache hit. Batched evaluation (search.EvaluateBatch)
-// prewarms a population's kernels grouped by shared precision prefix
-// before the evaluation sequence begins. It never touches the run cache,
-// the budget, or any result.
-func (r *Runner) Prewarm(b Benchmark, cfg Config) {
-	r.kernel(b, runcache.Source, r.modelFingerprint(), cfg)
 }
 
 // Run evaluates one configuration. A nil cfg runs the original program. The

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"math"
 	"path/filepath"
 	"reflect"
@@ -152,4 +153,22 @@ func TestStoredCacheWarmAcrossGenerations(t *testing.T) {
 	if ss.GetHits != 2 {
 		t.Fatalf("store stats after warm run: %+v", ss)
 	}
+}
+
+// FuzzDecodeResult checks the decoder of the durable tier's records,
+// which it reads back from disk: it never panics, and every payload it
+// accepts re-encodes to exactly the input bytes, so a record that decodes
+// is the record that was written. The seed corpus under testdata/fuzz
+// covers nil and empty slices, NaN and infinity bits, a profile, and
+// truncated, trailing-byte, wrong-version, and oversized-length payloads.
+func FuzzDecodeResult(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r, err := DecodeResult(b)
+		if err != nil {
+			return
+		}
+		if enc := EncodeResult(nil, r); !bytes.Equal(enc, b) {
+			t.Fatalf("DecodeResult accepted %x, which re-encodes to %x", b, enc)
+		}
+	})
 }

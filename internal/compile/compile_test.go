@@ -11,8 +11,8 @@ import (
 
 // toyProgram is a minimal Program: it draws a workload from the tape's
 // seeded RNG, fills an array, and folds it through a scalar accumulator,
-// touching every code path the compiler specializes (bulk fills, array
-// reads, scalar assigns, flop charges).
+// touching every code path a recycled tape must reproduce (bulk fills,
+// array reads, scalar assigns, flop charges).
 type toyProgram struct {
 	name  string
 	sites int
@@ -35,8 +35,8 @@ func (p toyProgram) Exec(t *mp.Tape, seed int64) []float64 {
 }
 
 // freshTape is the reference executor: one single-use tape per run with
-// the configuration applied, and no kernel, tape recycling, or
-// input-stream replay.
+// the configuration applied, and no tape recycling or input-stream
+// replay.
 func freshTape(p Program, cfg []mp.Prec, sem runcache.Semantics, seed int64) ([]float64, mp.Cost, []mp.VarProfile, []bool) {
 	t := mp.NewTape(p.NumSites())
 	if sem == runcache.IR {
@@ -49,122 +49,105 @@ func freshTape(p Program, cfg []mp.Prec, sem runcache.Semantics, seed int64) ([]
 	return vals, t.Cost(), t.Profile(), t.ReadSet()
 }
 
-func cfgKey(cfg []mp.Prec) string {
-	b := make([]byte, len(cfg))
-	for i, p := range cfg {
-		b[i] = '0' + byte(p)
-	}
-	return string(b)
-}
-
+// TestCompileCacheHitsAndMisses checks the compiler's counters: every
+// Run is a hit (recycled tape) or a miss (fresh tape), the first run of
+// a program is a miss, and every configuration and semantics of one
+// program shares one pool, while another program gets its own. Only
+// totals are asserted: a sync.Pool may drop an idle tape at any garbage
+// collection (and, under -race, one Put in four), so the split between
+// hits and misses is not the compiler's to promise.
 func TestCompileCacheHitsAndMisses(t *testing.T) {
 	c := New(nil)
 	prog := toyProgram{name: "toy", sites: 2, pure: true}
-	key := Key{Bench: "toy", Semantics: runcache.Source, Model: 7, Config: ""}
 
-	k1 := c.Compile(key, prog, nil)
-	k2 := c.Compile(key, prog, nil)
-	if k1 != k2 {
-		t.Error("same key compiled two distinct kernels")
+	c.Run(prog, nil, runcache.Source, 1)
+	if s := c.Stats(); s.Kernels != 1 || s.Misses != 1 || s.Hits != 0 {
+		t.Errorf("after the first run: %+v, want 1 pool and 1 miss", s)
 	}
-	if s := c.Stats(); s.Kernels != 1 || s.Misses != 1 || s.Hits != 1 {
-		t.Errorf("after one reuse: %+v", s)
-	}
-
-	// Any key component change is a distinct specialization.
-	variants := []Key{
-		{Bench: "toy", Semantics: runcache.Source, Model: 7, Config: "1"},
-		{Bench: "toy", Semantics: runcache.IR, Model: 7, Config: ""},
-		{Bench: "toy", Semantics: runcache.Source, Model: 8, Config: ""},
-		{Bench: "toy2", Semantics: runcache.Source, Model: 7, Config: ""},
-	}
-	for _, v := range variants {
-		if c.Compile(v, prog, nil) == k1 {
-			t.Errorf("key %+v shared the kernel of %+v", v, key)
+	runs := uint64(1)
+	for _, sem := range []runcache.Semantics{runcache.Source, runcache.IR} {
+		for _, cfg := range [][]mp.Prec{nil, {mp.F32}, {mp.F32, mp.BF16}} {
+			c.Run(prog, cfg, sem, 1)
+			runs++
 		}
 	}
-	if s := c.Stats(); s.Kernels != 5 || s.Misses != 5 || s.Hits != 1 {
-		t.Errorf("after variants: %+v", s)
+	if s := c.Stats(); s.Kernels != 1 || s.Hits+s.Misses != runs {
+		t.Errorf("after %d runs of one program: %+v, want 1 pool and %d hits and misses", runs, s, runs)
 	}
-	if k1.NumSites() != prog.NumSites() {
-		t.Errorf("NumSites = %d, want %d", k1.NumSites(), prog.NumSites())
+
+	c.Run(toyProgram{name: "toy2", sites: 2, pure: true}, nil, runcache.Source, 1)
+	runs++
+	if s := c.Stats(); s.Kernels != 2 || s.Hits+s.Misses != runs {
+		t.Errorf("after a second program: %+v, want 2 pools and %d hits and misses", s, runs)
 	}
 }
 
 // TestKernelMatchesFreshTape locks the byte-identity contract at the
-// compiler's own level: for every configuration and both semantics
-// tiers, a kernel run - first (recording), repeated (replaying, reused
-// tape) - returns exactly the fresh-tape reference's values, cost,
-// profile, and read set.
+// compiler's own level: every configuration under both semantics tiers
+// runs back to back on one compiler for several rounds - the first run
+// of a seed records its input stream, later runs replay it on tapes
+// recycled from other configurations and semantics - and every run
+// returns exactly the fresh-tape reference's values, cost, profile, and
+// read set.
 func TestKernelMatchesFreshTape(t *testing.T) {
-	prog := toyProgram{name: "toy", sites: 2, pure: true}
+	prog := toyProgram{name: "toy", sites: 3, pure: true}
 	configs := [][]mp.Prec{
 		nil,
 		{mp.F32, mp.F32},
 		{mp.F32, mp.F64},
-		{mp.F64, mp.F32},
+		{mp.F64, mp.F32, mp.F32},
+		{mp.BF16, mp.F16},
+		{mp.F64, mp.MustCustom(5, 7)},
 	}
-	for _, sem := range []runcache.Semantics{runcache.Source, runcache.IR} {
-		c := New(nil)
-		for _, cfg := range configs {
-			wantVals, wantCost, wantProf, wantReads := freshTape(prog, cfg, sem, 42)
-			k := c.Compile(Key{Bench: "toy", Semantics: sem, Model: 1, Config: cfgKey(cfg)}, prog, cfg)
-			for run := 0; run < 3; run++ {
-				vals, cost, prof, reads := k.Run(prog, 42)
+	c := New(nil)
+	for round := 0; round < 3; round++ {
+		for _, sem := range []runcache.Semantics{runcache.Source, runcache.IR} {
+			for _, cfg := range configs {
+				wantVals, wantCost, wantProf, wantReads := freshTape(prog, cfg, sem, 42)
+				vals, cost, prof, reads := c.Run(prog, cfg, sem, 42)
 				if !reflect.DeepEqual(vals, wantVals) {
-					t.Errorf("sem=%v cfg=%q run=%d: values %v, want %v", sem, cfgKey(cfg), run, vals, wantVals)
+					t.Errorf("round=%d sem=%v cfg=%v: values %v, want %v", round, sem, cfg, vals, wantVals)
 				}
 				if cost != wantCost {
-					t.Errorf("sem=%v cfg=%q run=%d: cost %+v, want %+v", sem, cfgKey(cfg), run, cost, wantCost)
+					t.Errorf("round=%d sem=%v cfg=%v: cost %+v, want %+v", round, sem, cfg, cost, wantCost)
 				}
 				if !reflect.DeepEqual(prof, wantProf) {
-					t.Errorf("sem=%v cfg=%q run=%d: profile %v, want %v", sem, cfgKey(cfg), run, prof, wantProf)
+					t.Errorf("round=%d sem=%v cfg=%v: profile %v, want %v", round, sem, cfg, prof, wantProf)
 				}
 				if !reflect.DeepEqual(reads, wantReads) {
-					t.Errorf("sem=%v cfg=%q run=%d: read set %v, want %v", sem, cfgKey(cfg), run, reads, wantReads)
+					t.Errorf("round=%d sem=%v cfg=%v: read set %v, want %v", round, sem, cfg, reads, wantReads)
 				}
 			}
 		}
 	}
+	if s := c.Stats(); s.StreamRecords != 1 || s.StreamReplays == 0 {
+		t.Errorf("stream stats = %+v, want one recording replayed by every later run", s)
+	}
 }
 
 // TestKernelsKeyedBySiteCount checks that programs sharing a name but
-// not a shape never share a kernel: each gets a tape sized for its own
-// sites and returns its own fresh-tape result, while a repeat of either
-// still hits its kernel.
+// not a shape never share a tape: each gets a pool of tapes sized for
+// its own sites and returns its own fresh-tape result, run after run.
 func TestKernelsKeyedBySiteCount(t *testing.T) {
 	c := New(nil)
 	cfg := []mp.Prec{mp.F32, mp.F64}
-	key := Key{Bench: "shared", Semantics: runcache.Source, Model: 1, Config: cfgKey(cfg)}
 	small := toyProgram{name: "shared", sites: 2}
 	large := toyProgram{name: "shared", sites: 5}
 
-	ks := c.Compile(key, small, cfg)
-	kl := c.Compile(key, large, cfg)
-	if ks == kl {
-		t.Fatal("programs with different site counts shared one kernel")
-	}
-	if ks.NumSites() != 2 || kl.NumSites() != 5 {
-		t.Fatalf("kernel sites = %d and %d, want 2 and 5", ks.NumSites(), kl.NumSites())
-	}
-	if c.Compile(key, small, cfg) != ks || c.Compile(key, large, cfg) != kl {
-		t.Error("a repeated (key, site count) compiled a fresh kernel")
-	}
-	if s := c.Stats(); s.Kernels != 2 || s.Misses != 2 || s.Hits != 2 {
-		t.Errorf("stats = %+v, want 2 kernels, 2 misses, 2 hits", s)
-	}
-	for _, tc := range []struct {
-		prog toyProgram
-		k    *Kernel
-	}{{small, ks}, {large, kl}} {
-		wantVals, wantCost, wantProf, _ := freshTape(tc.prog, cfg, runcache.Source, 3)
-		vals, cost, prof, _ := tc.k.Run(tc.prog, 3)
-		if !reflect.DeepEqual(vals, wantVals) || cost != wantCost || !reflect.DeepEqual(prof, wantProf) {
-			t.Errorf("%d sites: kernel run diverges from the fresh tape", tc.prog.sites)
+	for round := 0; round < 3; round++ {
+		for _, prog := range []toyProgram{small, large} {
+			wantVals, wantCost, wantProf, wantReads := freshTape(prog, cfg, runcache.Source, 3)
+			vals, cost, prof, reads := c.Run(prog, cfg, runcache.Source, 3)
+			if !reflect.DeepEqual(vals, wantVals) || cost != wantCost || !reflect.DeepEqual(prof, wantProf) || !reflect.DeepEqual(reads, wantReads) {
+				t.Errorf("round %d, %d sites: run diverges from the fresh tape", round, prog.sites)
+			}
+			if len(prof) != prog.sites || len(reads) != prog.sites {
+				t.Errorf("round %d, %d sites: profile has %d entries, read set %d", round, prog.sites, len(prof), len(reads))
+			}
 		}
-		if len(prof) != tc.prog.sites {
-			t.Errorf("%d sites: profile has %d entries", tc.prog.sites, len(prof))
-		}
+	}
+	if s := c.Stats(); s.Kernels != 2 || s.Hits+s.Misses != 6 {
+		t.Errorf("stats = %+v, want 2 pools and 6 hits and misses", s)
 	}
 }
 
@@ -174,54 +157,74 @@ func TestKernelsKeyedBySiteCount(t *testing.T) {
 func TestStreamSharing(t *testing.T) {
 	c := New(nil)
 	prog := toyProgram{name: "toy", sites: 2, pure: true}
-	src := c.Compile(Key{Bench: "toy", Semantics: runcache.Source, Model: 1}, prog, nil)
-	ir := c.Compile(Key{Bench: "toy", Semantics: runcache.IR, Model: 1}, prog, nil)
 
-	src.Run(prog, 1) // records seed 1
-	ir.Run(prog, 1)  // replays it: streams cross semantics
-	src.Run(prog, 2) // new seed, new recording
+	c.Run(prog, nil, runcache.Source, 1)                       // records seed 1
+	c.Run(prog, []mp.Prec{mp.F32}, runcache.IR, 1)             // replays it: streams cross configurations and semantics
+	c.Run(prog, []mp.Prec{mp.F32, mp.F32}, runcache.Source, 2) // new seed, new recording
 	if s := c.Stats(); s.Streams != 2 || s.StreamRecords != 2 || s.StreamReplays != 1 {
 		t.Errorf("pure program stream stats: %+v", s)
 	}
 
 	impure := toyProgram{name: "impure", sites: 2, pure: false}
-	k := c.Compile(Key{Bench: "impure", Semantics: runcache.Source, Model: 1}, impure, nil)
-	k.Run(impure, 1)
-	k.Run(impure, 1)
+	c.Run(impure, nil, runcache.Source, 1)
+	c.Run(impure, nil, runcache.Source, 1)
 	if s := c.Stats(); s.Streams != 2 || s.StreamRecords != 2 || s.StreamReplays != 1 {
 		t.Errorf("impure program touched the stream cache: %+v", s)
 	}
 }
 
-// TestKernelConcurrentRuns hammers one kernel from many goroutines.
-// Under -race this locks the pool-of-frozen-tapes concurrency claim;
-// every run must still return the identical result.
+// TestKernelConcurrentRuns hammers one pool from many goroutines, each
+// cycling through configurations and semantics, so tapes move between
+// configurations while other runs are in flight. Under -race this locks
+// the pool's concurrency claim; every run must still return its
+// configuration's fresh-tape result.
 func TestKernelConcurrentRuns(t *testing.T) {
 	c := New(nil)
 	prog := toyProgram{name: "toy", sites: 2, pure: true}
-	cfg := []mp.Prec{mp.F32, mp.F64}
-	k := c.Compile(Key{Bench: "toy", Semantics: runcache.Source, Model: 1, Config: cfgKey(cfg)}, prog, cfg)
-	wantVals, wantCost, wantProf, _ := freshTape(prog, cfg, runcache.Source, 7)
+	type run struct {
+		cfg []mp.Prec
+		sem runcache.Semantics
+	}
+	runs := []run{
+		{nil, runcache.Source},
+		{[]mp.Prec{mp.F32, mp.F64}, runcache.Source},
+		{[]mp.Prec{mp.F32, mp.F64}, runcache.IR},
+		{[]mp.Prec{mp.BF16, mp.F32}, runcache.Source},
+	}
+	type result struct {
+		vals []float64
+		cost mp.Cost
+		prof []mp.VarProfile
+	}
+	want := make([]result, len(runs))
+	for i, r := range runs {
+		want[i].vals, want[i].cost, want[i].prof, _ = freshTape(prog, r.cfg, r.sem, 7)
+	}
 
+	const goroutines, perGoroutine = 8, 12
 	var wg sync.WaitGroup
-	errs := make(chan string, 64)
-	for g := 0; g < 8; g++ {
+	errs := make(chan string, goroutines)
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 8; i++ {
-				vals, cost, prof, _ := k.Run(prog, 7)
-				if !reflect.DeepEqual(vals, wantVals) || cost != wantCost || !reflect.DeepEqual(prof, wantProf) {
+			for i := 0; i < perGoroutine; i++ {
+				k := (g + i) % len(runs)
+				vals, cost, prof, _ := c.Run(prog, runs[k].cfg, runs[k].sem, 7)
+				if !reflect.DeepEqual(vals, want[k].vals) || cost != want[k].cost || !reflect.DeepEqual(prof, want[k].prof) {
 					errs <- "concurrent run diverged from the fresh tape"
 					return
 				}
 			}
-		}()
+		}(g)
 	}
 	wg.Wait()
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+	if s := c.Stats(); s.Kernels != 1 || s.Hits+s.Misses != goroutines*perGoroutine {
+		t.Errorf("stats = %+v, want 1 pool and %d hits and misses", s, goroutines*perGoroutine)
 	}
 }
 

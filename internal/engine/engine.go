@@ -102,9 +102,9 @@ type Options struct {
 	// engine creates one. Sharing never changes results (see
 	// bench.Runner.Cache).
 	Cache *bench.Cache
-	// Compiler is the shared compile cache every campaign joins;
-	// nil means the engine creates one. Tenants proposing the same
-	// configuration then share one precision-specialized kernel (see
+	// Compiler is the shared compiler every campaign joins; nil means
+	// the engine creates one. Tenants running the same program then
+	// share its tape pool and recorded input streams (see
 	// bench.Runner.Compiler).
 	Compiler *compile.Compiler
 	// HistoryDir, when set, persists every terminal campaign (status,
@@ -291,11 +291,12 @@ func New(opts Options) *Engine {
 // Cache returns the engine's shared run cache.
 func (e *Engine) Cache() *bench.Cache { return e.cache }
 
-// CompileStats returns the engine-wide compile cache's activity counters:
-// resident kernels and recorded input streams, hit/miss splits, stream
-// records and replays. Like the run-cache attribution these are live
-// diagnostics - which tenant compiles a kernel first is a race - so they
-// feed /cachediag, never the deterministic campaign artifacts.
+// CompileStats returns the engine-wide compiler's activity counters:
+// resident tape pools and recorded input streams, runs on recycled and
+// fresh tapes, stream records and replays. Like the run-cache
+// attribution these are live diagnostics - whether a run finds a
+// recycled tape depends on scheduling and the garbage collector - so
+// they feed /cachediag, never the deterministic campaign artifacts.
 func (e *Engine) CompileStats() compile.Stats { return e.compiler.Stats() }
 
 // Submit parses a YAML campaign configuration (the harness Listing 4

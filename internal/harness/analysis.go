@@ -49,10 +49,10 @@ type Job struct {
 	// exactly as on misses, so reports and telemetry are unchanged by
 	// sharing.
 	Cache *bench.Cache
-	// Compiler, when non-nil, is the campaign-wide compile cache (the
+	// Compiler, when non-nil, is the campaign-wide compiler (the
 	// scheduler installs the shared instance here). A plugin should set it
-	// on every bench.Runner it builds so jobs proposing the same
-	// configuration share one specialized kernel; nil falls back to the
+	// on every bench.Runner it builds so the campaign's jobs share tape
+	// pools and recorded input streams; nil falls back to the
 	// process-wide shared compiler.
 	Compiler *compile.Compiler
 }

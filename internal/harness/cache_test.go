@@ -34,18 +34,18 @@ func cacheCampaign(t *testing.T, workers int, cache *bench.Cache, comp *compile.
 // contract: a campaign with the cache produces byte-identical reports,
 // metric snapshots, and event streams to one without it, under any worker
 // count. The uncached baseline runs on a campaign-private compiler, which
-// proves every proposal executed through a compiled kernel and that
-// revisited configurations reused theirs. Run under -race with Workers > 1
-// it also locks in the cache's and the compiler's data-race-free claims.
+// proves every proposal executed on the compiler and that later runs
+// recycled earlier runs' tapes. Run under -race with Workers > 1 it also
+// locks in the cache's and the compiler's data-race-free claims.
 func TestSchedulerCacheDeterministic(t *testing.T) {
 	var firstCachedMetrics string
 	for _, workers := range []int{1, 2, 8} {
 		comp := compile.New(nil)
 		baseResults, baseMetrics, baseEvents := cacheCampaign(t, workers, nil, comp)
 		if s := comp.Stats(); s.Kernels == 0 || s.Misses == 0 {
-			t.Fatalf("workers=%d: campaign never compiled a kernel: %+v", workers, s)
+			t.Fatalf("workers=%d: campaign never ran on the compiler: %+v", workers, s)
 		} else if s.Hits == 0 {
-			t.Errorf("workers=%d: revisited configurations never hit the compile cache: %+v", workers, s)
+			t.Errorf("workers=%d: no run recycled a tape: %+v", workers, s)
 		}
 		results, metrics, events := cacheCampaign(t, workers, bench.NewCache(nil), nil)
 		if !reflect.DeepEqual(results, baseResults) {

@@ -40,7 +40,7 @@ type CampaignOptions struct {
 	// this exists for benchmarking the cache itself and as an escape
 	// hatch.
 	NoCache bool
-	// Compiler, when non-nil, is the compile cache to install on the
+	// Compiler, when non-nil, is the compiler to install on the
 	// scheduler; nil means the process-wide shared compiler.
 	Compiler *compile.Compiler
 	// Precisions, when non-empty, is the default precision ladder (e.g.

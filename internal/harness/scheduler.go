@@ -64,9 +64,9 @@ type Scheduler struct {
 	// telemetry stays on the cache's own recorder - so campaign reports
 	// and telemetry snapshots are byte-identical with or without it.
 	Cache *bench.Cache
-	// Compiler, when non-nil, is the campaign-wide compile cache,
-	// installed on every job like Cache: jobs that propose the same
-	// configuration share one specialized kernel. Nil falls back to the
+	// Compiler, when non-nil, is the campaign-wide compiler, installed
+	// on every job like Cache: jobs running the same program share its
+	// tape pool and recorded input streams. Nil falls back to the
 	// process-wide shared compiler.
 	Compiler *compile.Compiler
 	// OnJobDone, when non-nil, is called once per job as it completes

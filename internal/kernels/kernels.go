@@ -37,8 +37,8 @@ func (k *kernel) Graph() *typedep.Graph { return k.graph }
 
 // PureInit declares that every kernel draws its random inputs in a
 // configuration-independent prefix of Run (all generators come from
-// t.Rand seeded by the workload seed alone), so compiled kernels may
-// record one input stream per seed and replay it across configurations
+// t.Rand seeded by the workload seed alone), so the compiler may record
+// one input stream per seed and replay it across configurations
 // (see bench.PureIniter). The cross-configuration equivalence tests lock
 // the claim for every port.
 func (k *kernel) PureInit() bool { return true }

@@ -2,11 +2,33 @@ package mp
 
 // Freeze locks the tape's configuration: from here on SetPrec and
 // SetComputeOnly panic, and Reset may rewind the tape for another run.
-// A compiled kernel (internal/compile) freezes each tape it specializes,
-// because the precision vector and the semantics are the kernel's
-// identity. SetScale stays legal - benchmark Run bodies call it
-// themselves.
+// The lock keeps a run from changing the configuration it is measured
+// under. SetScale stays legal - benchmark Run bodies call it themselves.
 func (t *Tape) Freeze() { t.frozen = true }
+
+// Configure applies a whole configuration to a new or reset tape and
+// freezes it: variable v takes cfg[v], variables past len(cfg) take F64
+// (as on a fresh tape), and computeOnly selects IR-level semantics (see
+// SetComputeOnly). The charge tables are refreshed once for all
+// variables. Unlike SetPrec and SetComputeOnly it accepts a frozen tape,
+// because a reset tape carries no run; it panics while the tape has live
+// arrays, whose cached precision and pending traffic belong to the
+// configuration in force, and on a cfg longer than the tape (an
+// out-of-range index, as in SetPrec).
+func (t *Tape) Configure(cfg []Prec, computeOnly bool) {
+	if len(t.arrays) != 0 {
+		panic("mp: Configure on a tape with live arrays; Reset it first")
+	}
+	for v := range t.vars {
+		t.vars[v].prec = F64
+	}
+	for v, p := range cfg {
+		t.vars[v].prec = p
+	}
+	t.computeOnly = computeOnly
+	t.refreshAll()
+	t.frozen = true
+}
 
 // flush settles every live Array's pending traffic and the deferred
 // arithmetic meters into the cost and profile counters.
@@ -58,12 +80,11 @@ func (t *Tape) flushMeter() {
 	}
 }
 
-// Reset rewinds a frozen tape for the next run of the same compiled
-// kernel: cost and per-variable profiles zero, the read set empties, the
-// scale returns to 1, any attached input stream detaches, and the run's
-// arrays move to the recycle pool so the next run's allocations can
-// reuse their buffers. The precision vector and semantics persist - they
-// are the kernel's identity.
+// Reset rewinds a frozen tape for another run: cost and per-variable
+// profiles zero, the read set empties, the scale returns to 1, any
+// attached input stream detaches, and the run's arrays move to the
+// recycle pool so the next run's allocations can reuse their buffers.
+// The precision vector and semantics persist until the next Configure.
 func (t *Tape) Reset() {
 	if !t.frozen {
 		panic("mp: Reset on an unfrozen tape; only a frozen configuration can be rewound")

@@ -28,6 +28,7 @@ var readCases = map[string]struct {
 	"Tape.AddFlops":        {func(t *Tape) { t.AddFlops(F32, 3) }, nil},
 	"Tape.Assign":          {func(t *Tape) { t.Assign(0, 1.5, 1, 1, 3) }, []VarID{0, 1, 3}},
 	"Tape.ComputeOnly":     {func(t *Tape) { t.ComputeOnly() }, nil},
+	"Tape.Configure":       {func(t *Tape) { t.Configure([]Prec{BF16, F64, F32}, true) }, nil},
 	"Tape.Cost":            {func(t *Tape) { t.Cost() }, nil},
 	"Tape.FinishRecording": {func(t *Tape) { t.StartRecording(); t.Rand(1).Int63(); t.FinishRecording() }, nil},
 	"Tape.Freeze":          {func(t *Tape) { t.Freeze() }, nil},

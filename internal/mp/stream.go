@@ -49,9 +49,9 @@ func (s *Stream) Fills() int { return len(s.fills) }
 // Rand returns the seeded generator benchmark Run bodies draw their
 // inputs from. It is the drop-in form of rand.New(rand.NewSource(seed)):
 // with no stream attached (a fresh tape, or a benchmark that does not
-// declare seed-pure inputs) it constructs exactly that generator; under a
-// compiled kernel it additionally records the draw stream on the
-// kernel's first run per seed and replays it on every later one (see
+// declare seed-pure inputs) it constructs exactly that generator; under
+// internal/compile it additionally records the draw stream on the
+// program's first run per seed and replays it on every later one (see
 // Stream).
 func (t *Tape) Rand(seed int64) *rand.Rand {
 	if t.rep != nil {
@@ -63,8 +63,8 @@ func (t *Tape) Rand(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
-// StartRecording begins capturing this run's input trace. The compiled
-// kernel calls it on the first run per (benchmark, seed).
+// StartRecording begins capturing this run's input trace. internal/compile
+// calls it on the first run per (benchmark, seed).
 func (t *Tape) StartRecording() {
 	t.rec = &streamRecorder{}
 }

@@ -5,8 +5,10 @@ import "fmt"
 // Tape carries one precision configuration through one benchmark execution
 // and meters the work performed against it. The search framework sets the
 // precision of each variable before the run and reads the accumulated Cost
-// afterwards; a compiled kernel (internal/compile) additionally freezes
-// the configuration and rewinds the tape with Reset between runs.
+// afterwards; internal/compile applies a whole configuration with
+// Configure, which also freezes it, and rewinds the tape with Reset
+// between runs so the next run - under any configuration - recycles its
+// buffers.
 //
 // Metering is deferred. The hot calls only count: Assign tallies unscaled
 // flops per expression width class, casts, and per-variable attribution,

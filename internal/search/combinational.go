@@ -22,12 +22,7 @@ func (Combinational) Mode() Mode { return ByCluster }
 // by descending size in lexicographic order - the exact historical
 // enumeration. On deeper ladders it is every digit vector over the rungs,
 // visited by descending rung sum so the most aggressive configurations
-// still come first. Enumeration is pure - no assignment depends on
-// another's evaluation - so assignments are proposed in chunks of
-// searchBatchSize and handed to EvaluateBatch, which prewarms the chunk's
-// compiled kernels and then evaluates in enumeration order: results, EV
-// counts, and the budget-expiry point are byte-identical to the
-// one-at-a-time loop.
+// still come first.
 func (c Combinational) Search(e *Evaluator) Outcome {
 	n := e.Space().NumUnits()
 	p := e.Space().NumRungs()
@@ -37,30 +32,16 @@ func (c Combinational) Search(e *Evaluator) Outcome {
 		found   bool
 		stopErr error
 	)
-	batch := make([]Set, 0, searchBatchSize)
-	// flush evaluates the buffered chunk; it reports false once the
-	// analysis must stop (budget exhausted, canceled, faulted).
-	flush := func() bool {
-		if len(batch) == 0 {
-			return stopErr == nil
-		}
-		res, err := e.EvaluateBatch(batch)
-		for i, r := range res {
-			if r.Passed && (!found || r.Speedup > bestRes.Speedup) {
-				best, bestRes, found = batch[i], r, true
-			}
-		}
-		batch = batch[:0]
+	// evaluate reports false once the analysis must stop (budget
+	// exhausted, canceled, faulted).
+	evaluate := func(set Set) bool {
+		r, err := e.Evaluate(set)
 		if err != nil {
 			stopErr = err
 			return false
 		}
-		return true
-	}
-	propose := func(set Set) bool {
-		batch = append(batch, set)
-		if len(batch) == searchBatchSize {
-			return flush()
+		if r.Passed && (!found || r.Speedup > bestRes.Speedup) {
+			best, bestRes, found = set, r, true
 		}
 		return true
 	}
@@ -70,15 +51,14 @@ enumeration:
 		if p == 2 {
 			// The historical two-level order: subsets of size sum as sorted
 			// index lists, lexicographically.
-			stop = forEachSubsetOfSize(n, sum, propose)
+			stop = forEachSubsetOfSize(n, sum, evaluate)
 		} else {
-			stop = forEachVectorOfSum(n, p, sum, propose)
+			stop = forEachVectorOfSum(n, p, sum, evaluate)
 		}
 		if stop {
 			break enumeration
 		}
 	}
-	flush()
 	return finish(c.Name(), e, best, bestRes, found, stopErr)
 }
 

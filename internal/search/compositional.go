@@ -47,61 +47,33 @@ func (c Compositional) Search(e *Evaluator) Outcome {
 
 	// Phase 1: every variable individually - once per ladder rung below
 	// the working precision, shallowest rung first (on the default ladder
-	// this is the single historical pass). The singleton proposals are
-	// fixed up front, so the whole phase is one batch: EvaluateBatch
-	// prewarms the compiled kernels and evaluates in variable order,
-	// byte-identical to the one-at-a-time loop.
+	// this is the single historical pass).
 	var passing []cmCand
 	seen := map[string]bool{}
 	p := e.Space().NumRungs()
-	singles := make([]Set, 0, n*(p-1))
+singles:
 	for r := 1; r < p; r++ {
 		for i := 0; i < n; i++ {
 			set := NewSet(n)
 			set.SetRung(i, uint8(r))
-			singles = append(singles, set)
+			res, err := e.Evaluate(set)
+			if err != nil {
+				stopErr = err
+				break singles
+			}
+			consider(set, res)
+			if key := e.Key(set); res.Passed && !seen[key] {
+				seen[key] = true
+				passing = append(passing, cmCand{set, res})
+			}
 		}
-	}
-	res, err := e.EvaluateBatch(singles)
-	for i, r := range res {
-		set := singles[i]
-		consider(set, r)
-		if key := e.Key(set); r.Passed && !seen[key] {
-			seen[key] = true
-			passing = append(passing, cmCand{set, r})
-		}
-	}
-	if err != nil {
-		stopErr = err
 	}
 
 	// Phase 2: compose passing configurations pairwise until the frontier
 	// is empty. The search terminates when there are no compositions left.
-	// Within one frontier pass the composition sequence is fixed (passing
-	// grows only between passes, and seen dedupes at proposal time), so
-	// compositions are proposed in chunks of searchBatchSize and evaluated
-	// as batches - chunked, because on the explosive closures the budget
-	// expires long before the pass's proposals run out.
 	frontier := append([]cmCand(nil), passing...)
 	for len(frontier) > 0 && stopErr == nil {
 		var next []cmCand
-		batch := make([]Set, 0, searchBatchSize)
-		flush := func() {
-			if len(batch) == 0 || stopErr != nil {
-				return
-			}
-			res, err := e.EvaluateBatch(batch)
-			for i, r := range res {
-				consider(batch[i], r)
-				if r.Passed {
-					next = append(next, cmCand{batch[i], r})
-				}
-			}
-			batch = batch[:0]
-			if err != nil {
-				stopErr = err
-			}
-		}
 	compose:
 		for _, f := range frontier {
 			for _, p := range passing {
@@ -114,16 +86,17 @@ func (c Compositional) Search(e *Evaluator) Outcome {
 					continue
 				}
 				seen[key] = true
-				batch = append(batch, u)
-				if len(batch) == searchBatchSize {
-					flush()
-					if stopErr != nil {
-						break compose
-					}
+				r, err := e.Evaluate(u)
+				if err != nil {
+					stopErr = err
+					break compose
+				}
+				consider(u, r)
+				if r.Passed {
+					next = append(next, cmCand{u, r})
 				}
 			}
 		}
-		flush()
 		passing = append(passing, next...)
 		frontier = next
 	}

@@ -189,13 +189,6 @@ const (
 	DefaultBuildSeconds = 30
 )
 
-// searchBatchSize bounds how many proposals the population strategies
-// buffer before handing a chunk to EvaluateBatch. Bounding the chunk
-// keeps memory flat on the explosive enumerations (CB and CM on large
-// spaces propose far more configurations than the budget ever evaluates)
-// while still giving each chunk's kernels a grouped prewarm.
-const searchBatchSize = 64
-
 // NewEvaluator builds an evaluator over space with the paper's default
 // budget. The baseline (all-double) measurement is taken immediately and
 // charged against the budget like any other configuration.
@@ -484,72 +477,6 @@ func (e *Evaluator) Evaluate(set Set) (Result, error) {
 	e.record(key, cfg.Demoted(), r)
 	e.observe(key, cfg.Demoted(), r, false)
 	return r, nil
-}
-
-// EvaluateBatch evaluates a population of selections as one batch.
-// Results come back positionally aligned with sets; on an error (budget
-// exhausted, canceled, transient fault) the results evaluated before the
-// failing selection are returned alongside it, and the failing selection's
-// slot and everything after are absent.
-//
-// The batch is byte-identical to calling Evaluate on each selection in
-// order - same results, EV counts, memo hits, budget charges, trace
-// entries, and telemetry, locked by the batch equivalence tests - because
-// evaluation itself stays sequential in submission order. What batching
-// adds is compile-cache locality: the population's distinct, not yet
-// memoised configurations are grouped by shared precision prefix and
-// their kernels specialized group by group up front, so the evaluation
-// sequence runs on compile-cache hits instead of rendezvousing on the
-// compiler mid-measurement. Population strategies (GA generations, CB
-// enumeration chunks, CM frontier passes) route through it.
-func (e *Evaluator) EvaluateBatch(sets []Set) ([]Result, error) {
-	e.prewarm(sets)
-	out := make([]Result, 0, len(sets))
-	for _, s := range sets {
-		r, err := e.Evaluate(s)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// prewarm specializes the batch's kernels ahead of the evaluation
-// sequence. Selections that expand invalid, duplicate another batch
-// member, or are already memoised compile nothing - they will not reach
-// the runner at all. Sorting the distinct configuration keys clusters
-// shared precision prefixes, so each group's kernels specialize back to
-// back.
-func (e *Evaluator) prewarm(sets []Set) {
-	type cand struct {
-		key string
-		cfg bench.Config
-	}
-	cands := make([]cand, 0, len(sets))
-	seen := make(map[string]bool, len(sets))
-	for _, s := range sets {
-		if s.Len() != e.space.NumUnits() {
-			continue
-		}
-		cfg, valid := e.space.Expand(s, e.typeforgeExpand)
-		if !valid {
-			continue
-		}
-		key := cfg.Key()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		if _, ok := e.cache[key]; ok {
-			continue
-		}
-		cands = append(cands, cand{key, cfg})
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].key < cands[j].key })
-	for _, c := range cands {
-		e.runner.Prewarm(e.benchmark, c.cfg)
-	}
 }
 
 // canceled reports the attached context's cancellation as ErrCanceled

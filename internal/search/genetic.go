@@ -68,12 +68,10 @@ func fitness(r Result) float64 {
 	return 1 / (2 + e)
 }
 
-// Search runs the evolutionary loop. Each generation is evaluated as one
-// batch: the genomes of a generation depend only on the previous
-// generation and the strategy RNG, never on each other's evaluations, so
-// the whole population can be proposed up front and handed to
-// EvaluateBatch (which prewarms the compiled kernels, then evaluates in
-// proposal order - results are byte-identical to the one-at-a-time loop).
+// Search runs the evolutionary loop. Each generation is bred in full
+// before any of it is evaluated: the genomes of a generation depend only
+// on the previous generation and the strategy RNG, never on each other's
+// evaluations.
 func (g Genetic) Search(e *Evaluator) Outcome {
 	n := e.Space().NumUnits()
 	p := e.Space().NumRungs()
@@ -84,19 +82,21 @@ func (g Genetic) Search(e *Evaluator) Outcome {
 		found   bool
 		stopErr error
 	)
-	// evalBatch evaluates one generation's genomes and folds the results
-	// into individuals, tracking the best passing configuration.
-	evalBatch := func(genomes []Set) []individual {
-		res, err := e.EvaluateBatch(genomes)
-		inds := make([]individual, 0, len(res))
-		for i, r := range res {
-			if r.Passed && (!found || r.Speedup > bestRes.Speedup) {
-				best, bestRes, found = genomes[i].Clone(), r, true
+	// evalAll evaluates one generation's genomes in order, up to the
+	// first error, and folds the results into individuals, tracking the
+	// best passing configuration.
+	evalAll := func(genomes []Set) []individual {
+		inds := make([]individual, 0, len(genomes))
+		for _, set := range genomes {
+			r, err := e.Evaluate(set)
+			if err != nil {
+				stopErr = err
+				break
 			}
-			inds = append(inds, individual{set: genomes[i], res: r})
-		}
-		if err != nil {
-			stopErr = err
+			if r.Passed && (!found || r.Speedup > bestRes.Speedup) {
+				best, bestRes, found = set.Clone(), r, true
+			}
+			inds = append(inds, individual{set: set, res: r})
 		}
 		return inds
 	}
@@ -113,7 +113,7 @@ func (g Genetic) Search(e *Evaluator) Outcome {
 		}
 		genomes = append(genomes, set)
 	}
-	pop := evalBatch(genomes)
+	pop := evalAll(genomes)
 
 	stale := 0
 	for gen := 1; gen < g.Generations && stopErr == nil && stale < g.Stagnation; gen++ {
@@ -124,7 +124,7 @@ func (g Genetic) Search(e *Evaluator) Outcome {
 
 		// Breed the full generation first - selection draws on the sorted
 		// previous generation, so offspring are independent of each other's
-		// evaluations - then evaluate it as one batch.
+		// evaluations - then evaluate it.
 		children := make([]Set, 0, g.Population-1)
 		for len(children) < g.Population-1 {
 			a := tournament(pop, rng)
@@ -133,7 +133,7 @@ func (g Genetic) Search(e *Evaluator) Outcome {
 			mutate(&child, p, rng)
 			children = append(children, child)
 		}
-		pop = append([]individual{pop[0]}, evalBatch(children)...) // elitism
+		pop = append([]individual{pop[0]}, evalAll(children)...) // elitism
 
 		sort.SliceStable(pop, func(a, b int) bool {
 			return fitness(pop[a].res) > fitness(pop[b].res)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/apps"
 	"repro/internal/bench"
@@ -26,11 +27,18 @@ func Kernels() []bench.Benchmark { return kernels.All() }
 // Apps returns the seven application benchmarks.
 func Apps() []bench.Benchmark { return apps.All() }
 
+// shared is the port set Lookup and Names resolve against, built once per
+// process: constructing a port builds its type-dependence graph, and one
+// instance serves every caller because a bench.Benchmark is stateless
+// with respect to Run and its graph is read-only.
+var shared = sync.OnceValue(All)
+
 // Lookup resolves a benchmark by name, case-insensitively (harness
-// configuration files write "kmeans" for "K-means").
+// configuration files write "kmeans" for "K-means"). Every lookup of a
+// name returns the same process-wide instance; All returns fresh ones.
 func Lookup(name string) (bench.Benchmark, error) {
 	want := normalize(name)
-	for _, b := range All() {
+	for _, b := range shared() {
 		if normalize(b.Name()) == want {
 			return b, nil
 		}
@@ -40,7 +48,7 @@ func Lookup(name string) (bench.Benchmark, error) {
 
 // Names returns every benchmark name in suite order.
 func Names() []string {
-	all := All()
+	all := shared()
 	out := make([]string, len(all))
 	for i, b := range all {
 		out[i] = b.Name()

@@ -1,6 +1,7 @@
 package suite
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -87,6 +88,26 @@ func TestFreshInstancesIndependent(t *testing.T) {
 		}
 		if a[i].Graph().NumVars() != b[i].Graph().NumVars() {
 			t.Errorf("instances of %s disagree", a[i].Name())
+		}
+	}
+}
+
+// TestLookupSharesInstances checks that Lookup resolves names against
+// one port set built once per process: two lookups of one name, in any
+// spelling, return the same instance instead of constructing the suite
+// again.
+func TestLookupSharesInstances(t *testing.T) {
+	for _, name := range Names() {
+		a, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Lookup(strings.ToUpper(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Errorf("two lookups of %s returned distinct instances", name)
 		}
 	}
 }
