@@ -111,3 +111,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseKey$$' -fuzztime=10s ./internal/bench
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime=10s ./internal/bench
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s ./internal/yamlite
+	$(GO) test -run '^$$' -fuzz '^FuzzParseCampaign$$' -fuzztime=10s ./internal/harness

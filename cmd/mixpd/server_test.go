@@ -364,7 +364,8 @@ func TestServerBackpressure(t *testing.T) {
 
 // TestServerErrors covers the 4xx paths.
 func TestServerErrors(t *testing.T) {
-	eng := engine.New(engine.Options{})
+	// With a history directory /healthz also reports archive durability.
+	eng := engine.New(engine.Options{HistoryDir: t.TempDir()})
 	defer eng.Close()
 	ts := httptest.NewServer(newServer(eng, serverOptions{}))
 	defer ts.Close()
@@ -395,6 +396,17 @@ func TestServerErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("negative workers: status %d, want 400", resp.StatusCode)
+	}
+	// A NaN threshold passes every range check; accepted, it reached the
+	// results and history archive as a value JSON cannot encode.
+	nan := strings.Replace(campaignYAML, "threshold: 1e-3", "threshold: nan", 1)
+	resp, err = http.Post(ts.URL+"/campaigns", "application/yaml", strings.NewReader(nan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("NaN threshold: status %d, want 400", resp.StatusCode)
 	}
 	big := strings.Repeat("#", maxCampaignBytes+2)
 	resp, err = http.Post(ts.URL+"/campaigns", "application/yaml", strings.NewReader(big))

@@ -17,6 +17,7 @@ package faults
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -90,22 +91,23 @@ func (p Plan) Enabled() bool {
 	return p.Transient > 0 || p.Crash > 0 || p.Straggler > 0
 }
 
-// Validate rejects rates outside [0, 1], rate sums above 1, and nonsense
-// slowdown/window values.
+// Validate rejects rates outside [0, 1] (NaN included), rate sums above
+// 1, and nonsense slowdown/window values. A non-finite slowdown would
+// carry into every straggler attempt's simulated seconds.
 func (p Plan) Validate() error {
 	for _, r := range []struct {
 		name string
 		rate float64
 	}{{"transient", p.Transient}, {"crash", p.Crash}, {"straggler", p.Straggler}} {
-		if r.rate < 0 || r.rate > 1 {
+		if !(r.rate >= 0 && r.rate <= 1) {
 			return fmt.Errorf("faults: %s rate %g outside [0, 1]", r.name, r.rate)
 		}
 	}
 	if sum := p.Transient + p.Crash + p.Straggler; sum > 1 {
 		return fmt.Errorf("faults: rates sum to %g > 1", sum)
 	}
-	if p.Slowdown < 0 || (p.Slowdown > 0 && p.Slowdown < 1) {
-		return fmt.Errorf("faults: slowdown %g must be >= 1", p.Slowdown)
+	if math.IsNaN(p.Slowdown) || math.IsInf(p.Slowdown, 0) || p.Slowdown < 0 || (p.Slowdown > 0 && p.Slowdown < 1) {
+		return fmt.Errorf("faults: slowdown %g must be finite and >= 1", p.Slowdown)
 	}
 	if p.Window < 0 {
 		return fmt.Errorf("faults: window %d must be >= 0", p.Window)

@@ -100,6 +100,11 @@ func TestPlanValidate(t *testing.T) {
 		{Transient: 0.6, Crash: 0.3, Straggler: 0.2}, // sum > 1
 		{Straggler: 0.1, Slowdown: 0.5},
 		{Transient: 0.1, Window: -3},
+		{Transient: math.NaN()},
+		{Straggler: math.NaN()},
+		{Crash: math.Inf(1)},
+		{Straggler: 0.1, Slowdown: math.NaN()},
+		{Straggler: 1, Slowdown: math.Inf(1)},
 	}
 	for _, p := range bad {
 		if err := p.Validate(); err == nil {

@@ -15,6 +15,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -228,21 +229,28 @@ func parseFaultsClause(m *yamlite.Map) (faults.Plan, RetryPolicy, error) {
 	return p, r, nil
 }
 
-// clauseFloat coerces a yamlite scalar to float64.
+// clauseFloat coerces a yamlite scalar to a finite float64. NaN and the
+// infinities are refused: NaN passes every range check, and either one
+// would reach results and archives that JSON cannot encode.
 func clauseFloat(raw any) (float64, error) {
+	var f float64
 	switch v := raw.(type) {
 	case float64:
-		return v, nil
+		f = v
 	case int64:
-		return float64(v), nil
+		f = float64(v)
 	case string:
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
+		var err error
+		if f, err = strconv.ParseFloat(v, 64); err != nil {
 			return 0, fmt.Errorf("bad number %q", v)
 		}
-		return f, nil
+	default:
+		return 0, fmt.Errorf("bad value type %T", raw)
 	}
-	return 0, fmt.Errorf("bad value type %T", raw)
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, fmt.Errorf("number %g is not finite", f)
+	}
+	return f, nil
 }
 
 // clauseInt coerces a yamlite scalar to int64.
@@ -323,19 +331,8 @@ func parseSpec(name string, m *yamlite.Map) (Spec, error) {
 			return s, err
 		}
 		if raw, ok := extra.Get("threshold"); ok {
-			switch v := raw.(type) {
-			case float64:
-				s.Analysis.Threshold = v
-			case int64:
-				s.Analysis.Threshold = float64(v)
-			case string:
-				f, err := strconv.ParseFloat(v, 64)
-				if err != nil {
-					return s, fmt.Errorf("bad threshold %q: %w", v, err)
-				}
-				s.Analysis.Threshold = f
-			default:
-				return s, fmt.Errorf("bad threshold type %T", raw)
+			if s.Analysis.Threshold, err = clauseFloat(raw); err != nil {
+				return s, fmt.Errorf("threshold: %w", err)
 			}
 			// A threshold is an error bound configurations must stay
 			// under; zero or negative admits nothing and silently turns

@@ -430,9 +430,12 @@ faults:
 	}
 
 	for name, bad := range map[string]string{
-		"unknown key":  kmeansYAML + "\nfaults:\n  flips: 0.5\n",
-		"invalid rate": kmeansYAML + "\nfaults:\n  transient: 1.5\n",
-		"bad number":   kmeansYAML + "\nfaults:\n  transient: lots\n",
+		"unknown key":   kmeansYAML + "\nfaults:\n  flips: 0.5\n",
+		"invalid rate":  kmeansYAML + "\nfaults:\n  transient: 1.5\n",
+		"bad number":    kmeansYAML + "\nfaults:\n  transient: lots\n",
+		"NaN straggler": kmeansYAML + "\nfaults:\n  straggler: nan\n",
+		"inf slowdown":  kmeansYAML + "\nfaults:\n  straggler: 1\n  slowdown: inf\n",
+		"NaN backoff":   kmeansYAML + "\nfaults:\n  backoff_base: nan\n",
 	} {
 		if _, err := ParseCampaign(bad); err == nil {
 			t.Errorf("%s accepted", name)
@@ -441,9 +444,12 @@ faults:
 }
 
 func TestParseSpecRejectsNonPositiveThreshold(t *testing.T) {
-	for _, bad := range []string{"0", "-1e-3"} {
+	for bad, why := range map[string]string{
+		"0": "positive", "-1e-3": "positive",
+		"nan": "finite", "inf": "finite", "-inf": "finite",
+	} {
 		src := strings.Replace(kmeansYAML, "1e-3", bad, 1)
-		if _, err := ParseConfig(src); err == nil || !strings.Contains(err.Error(), "positive") {
+		if _, err := ParseConfig(src); err == nil || !strings.Contains(err.Error(), why) {
 			t.Errorf("threshold %s accepted: %v", bad, err)
 		}
 	}

@@ -51,18 +51,18 @@ func evalLadderCampaign(t *testing.T, workers int, cache *bench.Cache, comp *com
 }
 
 // TestSchedulerLadderCompiledEquivalence extends the run cache's
-// byte-identity contract to deep-ladder Pareto campaigns on compiled
-// kernels: a three-rung bfloat16 campaign produces identical reports
-// (fronts and energies included), metric snapshots, and event streams
-// with the run cache off - every proposal executes through its kernel -
-// and on, at any worker count. Run under -race with Workers > 1 it also
+// byte-identity contract to deep-ladder Pareto campaigns on the
+// compiler's pooled tapes: a three-rung bfloat16 campaign produces
+// identical reports (fronts and energies included), metric snapshots,
+// and event streams with the run cache off - every proposal executes on
+// a pooled tape - and on, at any worker count. Run under -race with Workers > 1 it also
 // covers the shared caches under ladder keys.
 func TestSchedulerLadderCompiledEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		comp := compile.New(nil)
 		baseResults, baseMetrics, baseEvents := evalLadderCampaign(t, workers, nil, comp)
 		if s := comp.Stats(); s.Kernels == 0 || s.Misses == 0 {
-			t.Fatalf("workers=%d: ladder campaign never compiled a kernel: %+v", workers, s)
+			t.Fatalf("workers=%d: ladder campaign never ran on a pooled tape: %+v", workers, s)
 		}
 
 		for _, r := range baseResults {

@@ -99,7 +99,7 @@ func (m *eagerMeter) assign(dst VarID, x float64, flops uint64, srcs []VarID) fl
 // semantics changes landing between accesses, and checks Cost, Profile,
 // and every value read or stored at random observation points. Each tape
 // is then frozen and re-run twice through Reset (the second re-run
-// recycles the first's buffers), as a compiled kernel runs it, with
+// recycles the first's buffers), as the compiler's tape pool runs it, with
 // charges left pending at each Reset.
 func TestDeferredMeteringMatchesEagerMeter(t *testing.T) {
 	// The custom formats are the cases a per-variable rank or class table

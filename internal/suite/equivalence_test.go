@@ -15,7 +15,7 @@ import (
 	"repro/internal/perfmodel"
 )
 
-// f64bitsEqual compares floats as raw bit patterns: compiled kernels
+// f64bitsEqual compares floats as raw bit patterns: runs on pooled tapes
 // promise byte-identity, which is stronger than == (it distinguishes
 // -0 from +0) and, unlike reflect.DeepEqual, holds for the NaNs that
 // aggressively demoted configurations legitimately produce (SRAD's
@@ -46,9 +46,9 @@ func resultsBitIdentical(a, b bench.Result) bool {
 }
 
 // equivalenceConfigs returns the representative precision vectors the
-// kernel/fresh-tape comparison runs per benchmark: the all-double
+// pooled-tape/fresh-tape comparison runs per benchmark: the all-double
 // reference, the all-single extreme, an alternating mix that exercises
-// both the rounding and the skip-rounding specializations in one run, a
+// both the rounding and the F64 no-rounding paths in one run, a
 // three-level ladder mix (f64/f32/bf16), and a four-level mix adding
 // half precision and a custom format - so the byte-identity contract is
 // locked over every rounding routine the ladder can reach.
@@ -82,7 +82,7 @@ func equivalenceConfigs(b bench.Benchmark) []bench.Config {
 }
 
 // freshTape is the reference executor: one single-use tape per
-// execution, configured here - no compiled kernel, no tape recycling, no
+// execution, configured here - no tape pool, no tape recycling, no
 // input-stream replay - with the Result assembled from the runner's
 // machine model and the documented jitter stream (FNV-1a over
 // "<seed>/<name>/<config key>"). sites is the tape size and jitter the
@@ -116,8 +116,8 @@ func freshTape(r *bench.Runner, b bench.Benchmark, cfg bench.Config, sites int, 
 // measured-timing protocol - bit-identical to the freshTape reference.
 // (The name predates the interpreted evaluation path, which fresh
 // single-use tapes replaced as the reference.) Each configuration runs
-// twice so the second run exercises kernel reuse, tape recycling, and
-// input-stream replay.
+// twice so the second run exercises tape recycling and input-stream
+// replay.
 func TestCompiledInterpretedEquivalence(t *testing.T) {
 	for _, b := range All() {
 		b := b
@@ -134,7 +134,7 @@ func TestCompiledInterpretedEquivalence(t *testing.T) {
 			check := func(what string, got, want bench.Result) {
 				t.Helper()
 				if !resultsBitIdentical(got, want) {
-					t.Errorf("%s: kernel result diverges from the fresh tape\nkernel:     %+v\nfresh tape: %+v", what, got, want)
+					t.Errorf("%s: pooled-tape result diverges from the fresh tape\npooled tape: %+v\nfresh tape:  %+v", what, got, want)
 				}
 			}
 			for _, cfg := range equivalenceConfigs(b) {
@@ -150,21 +150,21 @@ func TestCompiledInterpretedEquivalence(t *testing.T) {
 			}
 			check("RunManualSingle", compiled.RunManualSingle(b), freshTape(compiled, b, bench.AllSingle(sites), sites, false, b.Name()))
 
-			// The comparisons above must have gone through kernels at all -
-			// a runner bypassing the compiler would pass trivially.
+			// The comparisons above must have gone through the compiler's
+			// tape pool at all - a runner bypassing it would pass trivially.
 			s := compiled.Compiler.Stats()
 			if s.Kernels == 0 || s.Misses == 0 {
-				t.Errorf("runner never compiled a kernel: %+v", s)
+				t.Errorf("runner never ran on a pooled tape: %+v", s)
 			}
 			if s.Hits == 0 {
-				t.Errorf("repeated configurations never hit the compile cache: %+v", s)
+				t.Errorf("repeated configurations never ran on a recycled tape: %+v", s)
 			}
 		})
 	}
 }
 
 // countingBench counts a benchmark's executions. It forwards the
-// optional interfaces the runner consults, so kernels, input-stream
+// optional interfaces the runner consults, so tape pools, input-stream
 // replay and results are those of the bare benchmark.
 type countingBench struct {
 	bench.Benchmark
