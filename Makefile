@@ -104,7 +104,9 @@ bench-smoke:
 # guard that the targets still build, run, and find nothing new in a
 # short search; the checked-in seed corpora under testdata/fuzz run on
 # every plain go test). go test fuzzes one target in one package per
-# invocation, so each target gets its own line.
+# invocation, so each target gets its own line. FuzzReadJournal fsyncs a
+# journal per input, so minimizing one multi-kilobyte input within the
+# default 60 s would use the whole budget; it minimizes for 100 runs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundBinary$$' -fuzztime=10s ./internal/mp
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLadder$$' -fuzztime=10s ./internal/mp
@@ -112,3 +114,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime=10s ./internal/bench
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s ./internal/yamlite
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCampaign$$' -fuzztime=10s ./internal/harness
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/harness

@@ -29,8 +29,11 @@
 // ("transient=0.2,crash=0.05,straggler=0.1,seed=7"), -retries caps the
 // attempts per job, -checkpoint PATH journals each completed job, and
 // -resume PATH restarts an interrupted campaign from such a journal,
-// skipping completed jobs. A campaign whose jobs failed exits with code
-// 3 after printing every report, so one bad entry cannot hide the rest.
+// skipping completed jobs. A job's telemetry is journalled only when the
+// run records it (-metrics or -events), so resuming a run made without
+// -metrics with -metrics snapshots only the jobs the resume re-runs. A
+// campaign whose jobs failed exits with code 3 after printing every
+// report, so one bad entry cannot hide the rest.
 //
 // Durability (with -config): -store DIR persists every benchmark
 // execution to an append-only, checksummed result store in DIR/results
@@ -239,14 +242,17 @@ func validateFlags(configPath string, threshold float64, tune, algorithm string,
 	if cf.workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", cf.workers)
 	}
-	if threshold < 0 {
-		return fmt.Errorf("-threshold must be >= 0, got %g", threshold)
+	if !(threshold >= 0) || math.IsInf(threshold, 1) {
+		return fmt.Errorf("-threshold must be a finite number >= 0, got %g", threshold)
 	}
 	if cf.retries < 0 {
 		return fmt.Errorf("-retries must be >= 0, got %d", cf.retries)
 	}
-	if cf.timeout < 0 {
-		return fmt.Errorf("-timeout must be >= 0 seconds, got %g", cf.timeout)
+	// A NaN fails both comparisons; an infinite or too-large value would
+	// overflow the time.Duration deadlineContext converts it to.
+	if !(cf.timeout >= 0 && cf.timeout*float64(time.Second) < float64(math.MaxInt64)) {
+		return fmt.Errorf("-timeout must be >= 0 and below %.4g seconds (the largest time.Duration), got %g",
+			time.Duration(math.MaxInt64).Seconds(), cf.timeout)
 	}
 	if tune != "" {
 		if _, err := mixpbench.CanonicalAlgorithm(algorithm); err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -68,6 +69,9 @@ func TestValidateFlags(t *testing.T) {
 	}{
 		{name: "negative workers", workers: -1, wantErr: "-workers"},
 		{name: "negative threshold", threshold: -1e-8, wantErr: "-threshold"},
+		{name: "NaN threshold", threshold: math.NaN(), wantErr: "-threshold"},
+		{name: "infinite threshold", threshold: math.Inf(1), wantErr: "-threshold"},
+		{name: "negative infinite threshold", threshold: math.Inf(-1), wantErr: "-threshold"},
 		{name: "unknown algorithm", tune: "hydro-1d", algorithm: "annealing", wantErr: "-algorithm"},
 		{name: "ok defaults", algorithm: "DD"},
 		{name: "ok long name", tune: "hydro-1d", algorithm: "ddebug"},
@@ -311,6 +315,24 @@ func TestRunConfigCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.SplitAfter(string(raw), "\n")
+	// Without -metrics or -events the run records no telemetry, so no
+	// record carries events, and metrics only as the empty snapshot
+	// encoding/json always writes for a struct field.
+	for i, line := range lines[1:] {
+		if line == "" {
+			continue
+		}
+		var rec map[string]json.RawMessage
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("journal record %d: %v", i+1, err)
+		}
+		if m, ok := rec["metrics"]; ok && string(m) != "{}" {
+			t.Errorf("journal record %d carries metrics %s", i+1, m)
+		}
+		if _, ok := rec["events"]; ok {
+			t.Errorf("journal record %d carries events", i+1)
+		}
+	}
 	if err := os.WriteFile(journal, []byte(lines[0]+lines[1]), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -381,12 +403,18 @@ func TestOpenTelemetryWritesFiles(t *testing.T) {
 }
 
 func TestValidateFlagsTimeout(t *testing.T) {
-	err := validateFlags("", 0, "", "DD", campaignFlags{timeout: -1})
-	if err == nil || !strings.Contains(err.Error(), "-timeout") {
-		t.Errorf("negative timeout: error = %v, want mention of -timeout", err)
+	// Past the largest time.Duration (about 9.2e9 s) the conversion in
+	// deadlineContext overflows to a negative, already-expired deadline.
+	for _, timeout := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1), 1e300, 9.3e9} {
+		err := validateFlags("", 0, "", "DD", campaignFlags{timeout: timeout})
+		if err == nil || !strings.Contains(err.Error(), "-timeout") {
+			t.Errorf("timeout %g: error = %v, want mention of -timeout", timeout, err)
+		}
 	}
-	if err := validateFlags("", 0, "", "DD", campaignFlags{timeout: 2.5}); err != nil {
-		t.Errorf("positive timeout rejected: %v", err)
+	for _, timeout := range []float64{2.5, 9.2e9} {
+		if err := validateFlags("", 0, "", "DD", campaignFlags{timeout: timeout}); err != nil {
+			t.Errorf("timeout %g rejected: %v", timeout, err)
+		}
 	}
 }
 

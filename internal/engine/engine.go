@@ -1,14 +1,14 @@
-// Package engine is the campaign service layer of the reproduction: it
-// owns the lifecycle that mixpbench.RunCampaign and the mixpd server
-// share - parse a configuration, build its jobs, schedule them, journal
-// checkpoints, collect reports - and multiplexes any number of
-// campaigns over one process. Each campaign runs under its own
-// cancellation context with its own telemetry recorder and event log;
-// all campaigns share a single run cache, so a configuration one tenant
-// executed never re-runs for another. Routing a campaign through the
-// engine changes nothing observable: results, journal records, and
-// telemetry snapshots are byte-identical to calling the harness
-// directly (the determinism contract the engine tests lock).
+// Package engine is the campaign service layer behind the mixpd server:
+// it multiplexes any number of campaigns over one process, queueing
+// each, running it with harness.RunCampaignContext, and keeping it for
+// status, results, events, and trace queries. Each campaign runs under
+// its own cancellation context with its own telemetry recorder and
+// event log; all campaigns share a single run cache and compiler, so a
+// configuration one tenant executed never re-runs for another. Routing
+// a campaign through the engine changes nothing observable: results,
+// journal records, and telemetry snapshots are byte-identical to
+// calling the harness directly (the determinism contract the engine
+// tests lock).
 package engine
 
 import (
@@ -102,11 +102,6 @@ type Options struct {
 	// engine creates one. Sharing never changes results (see
 	// bench.Runner.Cache).
 	Cache *bench.Cache
-	// Compiler is the shared compiler every campaign joins; nil means
-	// the engine creates one. Tenants running the same program then
-	// share its tape pool and recorded input streams (see
-	// bench.Runner.Compiler).
-	Compiler *compile.Compiler
 	// HistoryDir, when set, persists every terminal campaign (status,
 	// results, event log) to one JSON document per campaign, written
 	// with full fsync discipline, and restores them on boot - so a
@@ -116,7 +111,9 @@ type Options struct {
 	HistoryDir string
 }
 
-// SubmitOptions parameterises one campaign submission.
+// SubmitOptions parameterises one campaign submission. The campaign
+// always records telemetry into its own event log and runs on the
+// engine's shared run cache and compiler.
 type SubmitOptions struct {
 	// Name labels the campaign in statuses (default: its ID).
 	Name string
@@ -124,20 +121,6 @@ type SubmitOptions struct {
 	Seed int64
 	// Workers overrides the engine's per-campaign pool size.
 	Workers int
-	// Telemetry, when non-nil, is used as the campaign recorder instead
-	// of an engine-built one; the campaign's event log then stays empty.
-	// This is the embedding path: callers that already hold a recorder
-	// (the legacy RunCampaign wrapper) keep their exact event stream.
-	Telemetry *telemetry.Recorder
-	// Sink, when non-nil, receives a copy of the campaign's events
-	// alongside the engine's event log (e.g. a JSONL file).
-	Sink telemetry.Sink
-	// CheckpointPath and ResumePath wire the harness checkpoint journal
-	// (see harness.CampaignOptions).
-	CheckpointPath string
-	ResumePath     string
-	// NoCache opts this campaign out of the shared run cache.
-	NoCache bool
 	// Precisions, when non-empty, is the campaign's default precision
 	// ladder (e.g. "f64,f32,bf16"), applied to every spec that does not
 	// set its own precisions clause (see harness.CampaignOptions).
@@ -159,7 +142,6 @@ type campaign struct {
 	ctx    context.Context //mixplint:ignore ctxfirst -- the campaign record owns its context for its whole async lifetime; dispatchers pick the record up from a queue, so there is no call chain to thread it through
 	cancel context.CancelCauseFunc
 	events *EventLog
-	sink   telemetry.Sink
 	diag   *trace.Diag
 	done   chan struct{}
 	// jobs is the campaign's job count; kept separately from len(specs)
@@ -209,7 +191,7 @@ func (c *campaign) finishCanceled(cause error) {
 	c.mu.Lock()
 	c.results = results
 	c.mu.Unlock()
-	c.sink.Close()
+	c.events.Close()
 	close(c.done)
 }
 
@@ -267,14 +249,10 @@ func New(opts Options) *Engine {
 		cache = bench.NewCache(nil)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	compiler := opts.Compiler
-	if compiler == nil {
-		compiler = compile.New(nil)
-	}
 	e := &Engine{
 		opts:       opts,
 		cache:      cache,
-		compiler:   compiler,
+		compiler:   compile.New(nil),
 		rootCtx:    ctx,
 		rootCancel: cancel,
 		queue:      make(chan *campaign, opts.QueueDepth),
@@ -309,9 +287,10 @@ func (e *Engine) Submit(src string, opts SubmitOptions) (string, error) {
 	return e.SubmitCampaign(hc, opts)
 }
 
-// SubmitCampaign enqueues an already-parsed campaign. The specs are
-// validated up front, so an accepted submission can only fail on
-// journal I/O. It returns the campaign's engine-assigned ID.
+// SubmitCampaign enqueues an already-parsed campaign. The specs,
+// precisions, and objective are validated up front, so a bad submission
+// is refused here rather than failing later. It returns the campaign's
+// engine-assigned ID.
 func (e *Engine) SubmitCampaign(hc harness.Campaign, opts SubmitOptions) (string, error) {
 	if len(hc.Specs) == 0 {
 		return "", errors.New("engine: campaign has no benchmark entries")
@@ -350,33 +329,18 @@ func (e *Engine) SubmitCampaign(hc harness.Campaign, opts SubmitOptions) (string
 		filled:  make([]bool, len(hc.Specs)),
 		records: make([]harness.JournalRecord, len(hc.Specs)),
 	}
-	rec := opts.Telemetry
-	c.sink = telemetry.Sink(c.events)
-	if rec == nil {
-		if opts.Sink != nil {
-			c.sink = multiSink{c.events, opts.Sink}
-		}
-		rec = telemetry.New(c.sink)
-	}
-	cache := e.cache
-	if opts.NoCache {
-		cache = nil
-	}
 	c.copts = harness.CampaignOptions{
-		Workers:        workers,
-		Seed:           seed,
-		Telemetry:      rec,
-		Faults:         hc.Faults,
-		Retry:          hc.Retry,
-		CheckpointPath: opts.CheckpointPath,
-		ResumePath:     opts.ResumePath,
-		Cache:          cache,
-		NoCache:        opts.NoCache,
-		Compiler:       e.compiler,
-		Precisions:     opts.Precisions,
-		Objective:      opts.Objective,
-		OnJobDone:      c.jobDone(opts.OnJobDone),
-		TraceDiag:      c.diag,
+		Workers:    workers,
+		Seed:       seed,
+		Telemetry:  telemetry.New(c.events),
+		Faults:     hc.Faults,
+		Retry:      hc.Retry,
+		Cache:      e.cache,
+		Compiler:   e.compiler,
+		Precisions: opts.Precisions,
+		Objective:  opts.Objective,
+		OnJobDone:  c.jobDone(opts.OnJobDone),
+		TraceDiag:  c.diag,
 	}
 
 	e.mu.Lock()
@@ -445,7 +409,7 @@ func (e *Engine) runCampaign(c *campaign) {
 		c.state = StateDone
 	}
 	c.mu.Unlock()
-	c.sink.Close()
+	c.events.Close()
 	close(c.done)
 	e.archiveCampaign(c)
 }
@@ -582,8 +546,7 @@ func (e *Engine) Err(id string) (error, error) {
 	return c.err, nil
 }
 
-// Events returns the campaign's event log for tailing (empty and
-// closed when the submission supplied its own Telemetry recorder).
+// Events returns the campaign's event log for tailing.
 func (e *Engine) Events(id string) (*EventLog, error) {
 	c, err := e.campaign(id)
 	if err != nil {
@@ -694,44 +657,4 @@ func (e *Engine) seal() {
 		close(e.queue)
 	}
 	e.mu.Unlock()
-}
-
-// RunOnce executes a single campaign through an ephemeral engine and
-// blocks until it finishes: the thin-wrapper path for the legacy
-// entry points. Its contract matches harness.RunCampaignContext -
-// per-job results in submission order, error reserved for
-// campaign-level problems - and its output is byte-identical to
-// calling the harness directly. A zero opts.Seed means the canonical
-// study seed.
-func RunOnce(ctx context.Context, specs []harness.Spec, opts harness.CampaignOptions) ([]harness.JobResult, error) {
-	e := New(Options{Workers: opts.Workers, QueueDepth: 1, MaxConcurrent: 1, Cache: opts.Cache, Compiler: opts.Compiler})
-	defer e.Close()
-	id, err := e.SubmitCampaign(
-		harness.Campaign{Specs: specs, Faults: opts.Faults, Retry: opts.Retry},
-		SubmitOptions{
-			Seed:           opts.Seed,
-			Workers:        opts.Workers,
-			Telemetry:      opts.Telemetry,
-			CheckpointPath: opts.CheckpointPath,
-			ResumePath:     opts.ResumePath,
-			NoCache:        opts.NoCache,
-			Precisions:     opts.Precisions,
-			Objective:      opts.Objective,
-			OnJobDone:      opts.OnJobDone,
-		})
-	if err != nil {
-		return nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	stop := context.AfterFunc(ctx, func() { e.Cancel(id) })
-	defer stop()
-	st, _ := e.Wait(context.Background(), id) //mixplint:ignore ctxfirst -- cancellation is delivered via AfterFunc -> Cancel above; waiting on the caller's ctx would abandon the drain and lose the final state and partial results
-	results, _ := e.JobResults(id)
-	if st.State == StateFailed {
-		cerr, _ := e.Err(id)
-		return results, cerr
-	}
-	return results, nil
 }

@@ -90,10 +90,10 @@ func recordsJSON(t *testing.T, recs []harness.JournalRecord) string {
 	return string(b)
 }
 
-// legacyRun executes the fixture campaign through harness.RunCampaign
+// harnessRun executes the fixture campaign through harness.RunCampaign
 // and returns its records, metrics exposition, and event stream: the
 // baseline the engine must reproduce byte for byte.
-func legacyRun(t *testing.T, specs []harness.Spec, workers int) (string, string, []telemetry.Event) {
+func harnessRun(t *testing.T, specs []harness.Spec, workers int) (string, string, []telemetry.Event) {
 	t.Helper()
 	mem := telemetry.NewMemorySink()
 	tel := telemetry.New(mem)
@@ -121,7 +121,7 @@ func legacyRun(t *testing.T, specs []harness.Spec, workers int) (string, string,
 func TestEngineByteIdenticalToHarness(t *testing.T) {
 	specs := engineSpecs(t)
 	for _, workers := range []int{1, 4} {
-		wantRecs, wantMetrics, wantEvents := legacyRun(t, specs, workers)
+		wantRecs, wantMetrics, wantEvents := harnessRun(t, specs, workers)
 
 		e := New(Options{Workers: workers})
 		id, err := e.Submit(engineYAML, SubmitOptions{Seed: 42})
@@ -171,46 +171,13 @@ func TestEngineByteIdenticalToHarness(t *testing.T) {
 	}
 }
 
-// TestRunOnceMatchesHarness locks the thin-wrapper path: RunOnce is a
-// drop-in for harness.RunCampaign, byte for byte, telemetry included.
-func TestRunOnceMatchesHarness(t *testing.T) {
-	specs := engineSpecs(t)
-	wantRecs, wantMetrics, wantEvents := legacyRun(t, specs, 2)
-
-	mem := telemetry.NewMemorySink()
-	tel := telemetry.New(mem)
-	results, err := RunOnce(context.Background(), specs, harness.CampaignOptions{
-		Workers: 2, Seed: 42, Telemetry: tel,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := make([]harness.JournalRecord, len(results))
-	for i, jr := range results {
-		recs[i] = harness.ResultRecord(jr, specs[i].Name)
-	}
-	if got := recordsJSON(t, recs); got != wantRecs {
-		t.Errorf("RunOnce records diverge from harness:\n--- harness ---\n%s\n--- RunOnce ---\n%s", wantRecs, got)
-	}
-	var buf bytes.Buffer
-	if err := tel.WriteMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != wantMetrics {
-		t.Errorf("RunOnce metric snapshot diverges from harness")
-	}
-	if !reflect.DeepEqual(mem.Events(), wantEvents) {
-		t.Errorf("RunOnce event stream diverges (%d vs %d events)", len(mem.Events()), len(wantEvents))
-	}
-}
-
 // TestEngineConcurrentCampaignsSharedCache runs two campaigns at once
 // on one engine: both must finish Done with records byte-identical to
 // their solo baselines, and the second tenant must see run-cache hits
 // from work the first already executed.
 func TestEngineConcurrentCampaignsSharedCache(t *testing.T) {
 	specs := engineSpecs(t)
-	wantRecs, _, _ := legacyRun(t, specs, 2)
+	wantRecs, _, _ := harnessRun(t, specs, 2)
 
 	e := New(Options{Workers: 2, MaxConcurrent: 2})
 	defer e.Close()
@@ -253,7 +220,7 @@ func TestEngineConcurrentCampaignsSharedCache(t *testing.T) {
 // still byte-identical to its solo baseline.
 func TestEngineCancelOneTenantLeavesOtherUntouched(t *testing.T) {
 	specs := engineSpecs(t)
-	wantRecs, _, _ := legacyRun(t, specs, 2)
+	wantRecs, _, _ := harnessRun(t, specs, 2)
 
 	e := New(Options{Workers: 2, MaxConcurrent: 2})
 	defer e.Close()

@@ -94,26 +94,3 @@ func (l *EventLog) Wait(ctx context.Context, n int) error {
 		return ctx.Err()
 	}
 }
-
-// multiSink fans one event stream out to several sinks; the engine uses
-// it to feed a campaign's EventLog and a caller-supplied sink from the
-// same recorder.
-type multiSink []telemetry.Sink
-
-// Emit forwards to every sink in order.
-func (m multiSink) Emit(e telemetry.Event) {
-	for _, s := range m {
-		s.Emit(e)
-	}
-}
-
-// Close closes every sink, reporting the first error.
-func (m multiSink) Close() error {
-	var first error
-	for _, s := range m {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}

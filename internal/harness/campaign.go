@@ -37,11 +37,12 @@ type CampaignOptions struct {
 	Cache *bench.Cache
 	// NoCache disables run caching for this campaign: every job executes
 	// every configuration it proposes. Output is identical either way;
-	// this exists for benchmarking the cache itself and as an escape
-	// hatch.
+	// tests and benchmarks use it as the cache-off reference.
 	NoCache bool
 	// Compiler, when non-nil, is the compiler to install on the
-	// scheduler; nil means the process-wide shared compiler.
+	// scheduler. When nil, RunCampaign creates a campaign-private one,
+	// so a long-lived process does not keep every campaign's recorded
+	// input streams in the process-wide compiler.
 	Compiler *compile.Compiler
 	// Precisions, when non-empty, is the default precision ladder (e.g.
 	// "f64,f32,bf16") applied to every spec whose analysis clause does not
@@ -122,6 +123,10 @@ func RunCampaignContext(ctx context.Context, specs []Spec, opts CampaignOptions)
 	if cache == nil && !opts.NoCache {
 		cache = bench.NewCache(nil)
 	}
+	compiler := opts.Compiler
+	if compiler == nil {
+		compiler = compile.New(nil)
+	}
 	s := Scheduler{
 		Workers:   opts.Workers,
 		Telemetry: opts.Telemetry,
@@ -130,7 +135,7 @@ func RunCampaignContext(ctx context.Context, specs []Spec, opts CampaignOptions)
 		Journal:   journal,
 		Resume:    resume,
 		Cache:     cache,
-		Compiler:  opts.Compiler,
+		Compiler:  compiler,
 		OnJobDone: opts.OnJobDone,
 		TraceDiag: opts.TraceDiag,
 	}

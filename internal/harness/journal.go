@@ -175,7 +175,8 @@ func toJournalReport(r Report) journalReport {
 	return j
 }
 
-// report converts back; the precision config is rebuilt from its key.
+// report converts back; the precision config is rebuilt from its key,
+// which ReadJournal has checked parses.
 func (j journalReport) report() Report {
 	r := Report{
 		Benchmark:    j.Benchmark,
@@ -202,12 +203,7 @@ func (j journalReport) report() Report {
 	if r.Objective == "" {
 		r.Objective = "threshold"
 	}
-	if j.Config != "" {
-		cfg, err := bench.ParseKey(j.Config)
-		if err == nil {
-			r.Config = cfg
-		}
-	}
+	r.Config, _ = bench.ParseKey(j.Config)
 	return r
 }
 
@@ -415,7 +411,8 @@ func checkJournalHeader(path, fingerprint string, jobs int) error {
 // being a pure function of (seed, job, attempt) - reproduces their
 // recorded outcome if nothing changed. A torn final line (the campaign
 // was killed mid-append, before the fsync completed) is ignored; garbage
-// anywhere else is an error.
+// anywhere else, a record for a job outside the campaign, and a record
+// whose configuration key does not parse are errors.
 func ReadJournal(path, fingerprint string, jobs int) (map[int]JournalRecord, error) {
 	if err := checkJournalHeader(path, fingerprint, jobs); err != nil {
 		return nil, err
@@ -448,6 +445,12 @@ func ReadJournal(path, fingerprint string, jobs int) (map[int]JournalRecord, err
 		if rec.Job < 0 || rec.Job >= jobs {
 			return nil, fmt.Errorf("harness: journal %s: record for job %d outside campaign of %d jobs",
 				path, rec.Job, jobs)
+		}
+		// A complete line is not a torn append, so a key that does not
+		// parse is corruption; resuming it would report a found result
+		// with no configuration.
+		if _, err := bench.ParseKey(rec.Report.Config); err != nil {
+			return nil, fmt.Errorf("harness: journal %s: record for job %d: %w", path, rec.Job, err)
 		}
 		if rec.Error != "" {
 			delete(recs, rec.Job) // re-run failed jobs; a later clean record may still win

@@ -29,8 +29,10 @@ package mixpbench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/bench"
@@ -411,6 +413,9 @@ func TuneContext(ctx context.Context, b BenchmarkProgram, opts TuneOptions) (Tun
 	if err != nil {
 		return TuneResult{}, err
 	}
+	if !(opts.Threshold >= 0) || math.IsInf(opts.Threshold, 1) {
+		return TuneResult{}, fmt.Errorf("mixpbench: TuneOptions.Threshold must be a finite number >= 0, got %g", opts.Threshold)
+	}
 	if opts.Threshold == 0 {
 		opts.Threshold = harness.DefaultThreshold
 	}
@@ -546,14 +551,16 @@ func RunCampaign(specs []HarnessSpec, opts CampaignOptions) ([]HarnessJobResult,
 
 // RunCampaignContext is RunCampaign under a cancellation context: once
 // ctx is done, in-flight jobs report canceled best-so-far analyses and
-// unstarted jobs come back Skipped. Both entry points are thin wrappers
-// over the campaign engine (see Engine); routing through it changes
-// nothing observable.
+// unstarted jobs come back Skipped, their errors wrapping ctx's cause.
+// An empty spec list is an error.
 func RunCampaignContext(ctx context.Context, specs []HarnessSpec, opts CampaignOptions) ([]HarnessJobResult, error) {
+	if len(specs) == 0 {
+		return nil, errors.New("mixpbench: campaign has no benchmark entries")
+	}
 	if opts.Seed == 0 {
 		opts.Seed = report.Seed
 	}
-	return engine.RunOnce(ctx, specs, opts)
+	return harness.RunCampaignContext(ctx, specs, opts)
 }
 
 // HarnessOptions parameterises RunHarnessWith.
@@ -568,10 +575,8 @@ type HarnessOptions struct {
 	Telemetry *Telemetry
 	// Cache, when non-nil, is shared by every job of the run; when nil a
 	// run-private cache is created, so configuration executions shared
-	// between jobs run once. Set NoCache to disable caching entirely.
+	// between jobs run once.
 	Cache *RunCache
-	// NoCache disables run caching (reports are identical either way).
-	NoCache bool
 }
 
 // RunHarness resolves and executes every entry of a harness configuration
@@ -580,9 +585,9 @@ func RunHarness(specs []HarnessSpec, workers int, seed int64) ([]HarnessReport, 
 	return RunHarnessWith(specs, HarnessOptions{Workers: workers, Seed: seed})
 }
 
-// RunHarnessWith is RunHarness with the full option set. It is a thin
-// wrapper over the campaign engine; reports are byte-identical to
-// driving the scheduler directly.
+// RunHarnessWith is RunHarness with the full option set. It runs the
+// entries as one campaign (see RunCampaign) and fails on the first entry
+// whose job failed.
 func RunHarnessWith(specs []HarnessSpec, opts HarnessOptions) ([]HarnessReport, error) {
 	return RunHarnessContext(context.Background(), specs, opts)
 }
@@ -591,15 +596,11 @@ func RunHarnessWith(specs []HarnessSpec, opts HarnessOptions) ([]HarnessReport, 
 // canceled run surfaces the first interrupted entry's error, like any
 // other failing entry.
 func RunHarnessContext(ctx context.Context, specs []HarnessSpec, opts HarnessOptions) ([]HarnessReport, error) {
-	if opts.Seed == 0 {
-		opts.Seed = report.Seed
-	}
-	results, err := engine.RunOnce(ctx, specs, harness.CampaignOptions{
+	results, err := RunCampaignContext(ctx, specs, CampaignOptions{
 		Workers:   opts.Workers,
 		Seed:      opts.Seed,
 		Telemetry: opts.Telemetry,
 		Cache:     opts.Cache,
-		NoCache:   opts.NoCache,
 	})
 	if err != nil {
 		return nil, err

@@ -1,9 +1,12 @@
 package mixpbench_test
 
 import (
+	"context"
+	"errors"
 	"math"
 	"os"
 	"testing"
+	"time"
 
 	mixpbench "repro"
 )
@@ -64,6 +67,65 @@ func TestTuneValidation(t *testing.T) {
 	}
 	if _, err := mixpbench.Tune(b, mixpbench.TuneOptions{Algorithm: "annealing"}); err == nil {
 		t.Error("unknown algorithm should error")
+	}
+	for _, th := range []float64{-1e-8, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := mixpbench.Tune(b, mixpbench.TuneOptions{Algorithm: "DD", Threshold: th}); err == nil {
+			t.Errorf("threshold %g should error", th)
+		}
+	}
+}
+
+// TestRunCampaignContextExpiredDeadline checks that a campaign under an
+// already-expired deadline skips every job with the context's own
+// cause, and that an empty spec list is refused.
+func TestRunCampaignContextExpiredDeadline(t *testing.T) {
+	specs, err := mixpbench.ParseHarnessConfig(`
+hydro-dd:
+  build_dir: 'hydro'
+  build: ['make']
+  clean: ['make clean']
+  analysis:
+    floatsmith:
+      name: 'floatSmith'
+      extra_args:
+        algorithm: 'DD'
+  metric: 'MAE'
+  bin: 'hydro-1d'
+  copy: ['hydro']
+  args: ''
+eos-hr:
+  build_dir: 'eos'
+  build: ['make']
+  clean: ['make clean']
+  analysis:
+    floatsmith:
+      name: 'floatSmith'
+      extra_args:
+        algorithm: 'HR'
+  metric: 'MAE'
+  bin: 'eos'
+  copy: ['eos']
+  args: ''
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancel()
+	results, err := mixpbench.RunCampaignContext(ctx, specs, mixpbench.CampaignOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != len(specs) {
+		t.Fatalf("%d results for %d entries", len(results), len(specs))
+	}
+	for i, r := range results {
+		if !r.Skipped || !errors.Is(r.Err, context.DeadlineExceeded) {
+			t.Errorf("entry %d: skipped=%v err=%v, want skipped wrapping %v", i, r.Skipped, r.Err, context.DeadlineExceeded)
+		}
+	}
+	if _, err := mixpbench.RunCampaignContext(context.Background(), nil, mixpbench.CampaignOptions{}); err == nil {
+		t.Error("empty spec list accepted")
 	}
 }
 
