@@ -51,24 +51,17 @@ cover:
 tables:
 	$(GO) run ./cmd/mptables
 
-# bench runs the performance suite 5 times with allocation stats: the tape
-# and cache micro-benchmarks plus the campaign pairs - shared-vs-cold
-# cache (BenchmarkCampaignSharedCache / BenchmarkCampaignColdCache; the
-# cold side executes every proposal) and
-# two-vs-three-rung ladder depth (BenchmarkCampaignLadder2 /
-# BenchmarkCampaignLadder3). The campaign
-# benchmarks pin -benchtime=5x so both halves of each pair do identical
-# work and the numbers compare across runs. Raw output lands in
-# artifacts/, then benchjson aggregates it into the machine-readable
-# BENCH_9.json perf trajectory and refreshes the pair sections of
-# artifacts/comparison.md; EXPERIMENTS.md records the reference numbers.
+# bench runs the benchmark module (benchmark/, BENCHMARK.json) as a set:
+# every workload 3 times (seeds 42, 43, 44) with 20 s timed phases. It
+# prints each metric's median and quartiles and each workload's
+# correctness, and writes the set, with its environment record, to
+# artifacts/bench.json. Expect several minutes. A set alone gives no
+# verdict: a speed claim runs the parent and the change in interleaved
+# pairs (bash benchmark/run.sh -pair, see benchmark/README.md) and
+# commits that file under pairs/.
 bench:
 	@mkdir -p artifacts
-	$(GO) test -run '^$$' -bench . -benchmem -count=5 ./internal/mp ./internal/bench | tee artifacts/bench-micro.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkCampaign|BenchmarkTableIII|BenchmarkEvaluatorThroughput' -benchmem -benchtime=5x -count=5 . | tee artifacts/bench-campaign.txt
-	$(GO) run ./cmd/benchjson -out BENCH_9.json -comparison artifacts/comparison.md \
-		artifacts/bench-micro.txt artifacts/bench-campaign.txt
-	@echo "bench: BENCH_9.json artifacts/comparison.md"
+	bash benchmark/run.sh -out artifacts/bench.json
 
 # trace-smoke runs the small fault-injection campaign, exports its
 # deterministic trace and profile into artifacts/, and validates the
@@ -92,10 +85,11 @@ store-smoke:
 	@mkdir -p artifacts
 	sh ./scripts/store-smoke.sh artifacts
 
-# bench-smoke compiles and runs every benchmark once (CI's guard against
-# benchmark rot; no timing value). The BenchmarkCampaign pattern covers
-# every campaign benchmark - shared and cold cache, two- and three-rung
-# ladders - so the evaluation path runs end to end.
+# bench-smoke compiles and runs every go test -bench loop once (CI's
+# guard against benchmark rot; no timing value). The loops are developer
+# tools; speed is measured by make bench. The BenchmarkCampaign pattern
+# covers every campaign benchmark - shared and cold cache, and the
+# three-rung ladder - so the evaluation path runs end to end.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/mp ./internal/bench ./internal/runcache
 	$(GO) test -run '^$$' -bench 'BenchmarkCampaign' -benchtime=1x .
@@ -104,9 +98,10 @@ bench-smoke:
 # guard that the targets still build, run, and find nothing new in a
 # short search; the checked-in seed corpora under testdata/fuzz run on
 # every plain go test). go test fuzzes one target in one package per
-# invocation, so each target gets its own line. FuzzReadJournal fsyncs a
-# journal per input, so minimizing one multi-kilobyte input within the
-# default 60 s would use the whole budget; it minimizes for 100 runs.
+# invocation, so each target gets its own line. FuzzReadJournal and
+# FuzzOpen fsync per input, so minimizing one multi-kilobyte input within
+# the default 60 s would use the whole budget; they minimize for 100
+# runs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundBinary$$' -fuzztime=10s ./internal/mp
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLadder$$' -fuzztime=10s ./internal/mp
@@ -115,3 +110,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s ./internal/yamlite
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCampaign$$' -fuzztime=10s ./internal/harness
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/harness
+	$(GO) test -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/store

@@ -85,11 +85,14 @@ func BenchmarkTableIII(b *testing.B) {
 // (kernel, configuration) once between them. Compare against
 // BenchmarkCampaignColdCache for the cache's wall-clock effect; both
 // produce byte-identical studies (locked by
-// harness.TestSchedulerCacheDeterministic).
+// harness.TestSchedulerCacheDeterministic). It is also the two-rung side
+// of the ladder-depth pair; see BenchmarkCampaignLadder3.
 func BenchmarkCampaignSharedCache(b *testing.B) {
+	var study *report.Study
 	for i := 0; i < b.N; i++ {
-		report.Run(report.Options{Workers: 2, KernelsOnly: true})
+		study = report.Run(report.Options{Workers: 2, KernelsOnly: true})
 	}
+	b.ReportMetric(study.Kernel["hydro-1d"]["DD"].Speedup, "hydro-DD-speedup")
 }
 
 // BenchmarkCampaignColdCache measures the same kernel campaign with
@@ -103,25 +106,15 @@ func BenchmarkCampaignColdCache(b *testing.B) {
 	}
 }
 
-// BenchmarkCampaignLadder2 and BenchmarkCampaignLadder3 are the
-// ladder-depth cost pair: the identical kernel campaign (60 jobs, shared
-// run cache) over the paper's two-level double/single axis versus the
-// three-rung f64,f32,bf16 ladder. The ratio of their ns/op is the
-// campaign-level price of one extra rung - every strategy re-runs its
-// deepening stage per rung, so the search space grows from 2^loc to
-// 3^loc while memoisation keeps the paid evaluations far below that.
-// Run with a pinned -benchtime (see `make bench`) so both sides measure
-// the same amount of work; benchjson records the pair in BENCH_9.json.
-func BenchmarkCampaignLadder2(b *testing.B) {
-	var study *report.Study
-	for i := 0; i < b.N; i++ {
-		study = report.Run(report.Options{Workers: 2, KernelsOnly: true})
-	}
-	b.ReportMetric(study.Kernel["hydro-1d"]["DD"].Speedup, "hydro-DD-speedup")
-}
-
-// BenchmarkCampaignLadder3 is the three-rung side of the pair; see
-// BenchmarkCampaignLadder2.
+// BenchmarkCampaignLadder3 is the three-rung side of the ladder-depth
+// pair: the same kernel campaign (60 jobs, shared run cache) as
+// BenchmarkCampaignSharedCache, its two-rung side, over the f64,f32,bf16
+// ladder instead of the paper's double/single axis. The ratio of their
+// ns/op is the campaign-level price of one extra rung - every strategy
+// re-runs its deepening stage per rung, so the search space grows from
+// 2^loc to 3^loc while memoisation keeps the paid evaluations far below
+// that. Pin -benchtime (e.g. -benchtime=5x) so both sides measure the
+// same amount of work.
 func BenchmarkCampaignLadder3(b *testing.B) {
 	var study *report.Study
 	for i := 0; i < b.N; i++ {

@@ -20,7 +20,7 @@
 //   - R3 (publish barrier): an os.Rename whose source path was built
 //     with a ".tmp" suffix — the atomic-publish idiom — must be
 //     preceded in the same function by a file fsync (a call to a
-//     function or method named Sync or sync), so the renamed file's
+//     function or method named Sync), so the renamed file's
 //     contents are on disk before its name is.
 //
 // The rules are deliberately lexical and per-function: the repo's
@@ -56,11 +56,10 @@ var dirSyncNames = map[string]bool{
 	"syncParentDir": true,
 }
 
-// fileSyncNames are file-fsync entry points: (*os.File).Sync and the
-// store's NoSync-gated wrapper.
+// fileSyncNames are file-fsync entry points: (*os.File).Sync and any
+// function or method of that name that wraps it.
 var fileSyncNames = map[string]bool{
 	"Sync": true,
-	"sync": true,
 }
 
 func run(pass *analysis.Pass) error {

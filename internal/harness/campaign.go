@@ -97,6 +97,16 @@ func RunCampaignContext(ctx context.Context, specs []Spec, opts CampaignOptions)
 		if resume, err = ReadJournal(opts.ResumePath, fp, len(jobs)); err != nil {
 			return nil, err
 		}
+		// The scheduler journals every record under its job's entry name,
+		// so a record for another entry (or none: "null", "{}") is not
+		// one this campaign wrote, and resuming it would report an empty
+		// result.
+		for i, spec := range specs {
+			if rec, ok := resume[i]; ok && rec.Entry != spec.Name {
+				return nil, fmt.Errorf("harness: journal %s: record for job %d is for entry %q, not %q",
+					opts.ResumePath, i, rec.Entry, spec.Name)
+			}
+		}
 	}
 	var journal *Journal
 	if opts.CheckpointPath != "" {

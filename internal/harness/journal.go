@@ -412,7 +412,9 @@ func checkJournalHeader(path, fingerprint string, jobs int) error {
 // recorded outcome if nothing changed. A torn final line (the campaign
 // was killed mid-append, before the fsync completed) is ignored; garbage
 // anywhere else, a record for a job outside the campaign, and a record
-// whose configuration key does not parse are errors.
+// whose configuration key does not parse are errors. ReadJournal does not
+// know the campaign's entries: checking that each record's Entry names
+// its job's spec is the caller's job (RunCampaignContext does).
 func ReadJournal(path, fingerprint string, jobs int) (map[int]JournalRecord, error) {
 	if err := checkJournalHeader(path, fingerprint, jobs); err != nil {
 		return nil, err

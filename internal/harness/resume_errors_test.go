@@ -12,11 +12,12 @@ import (
 
 // TestResumeErrorPaths is the satellite table test: every way a resume
 // can be refused - journal fingerprint mismatch, journal version skew,
-// not a journal at all, wrong job count, and a result store opened
-// against the wrong fingerprint or read-only on a missing directory -
-// must produce a DISTINCT sentinel (errors.Is) and an actionable
-// message, so an operator can tell "re-run the campaign" apart from
-// "wrong file" apart from "wrong machine model" without reading source.
+// not a journal at all, wrong job count, a record for another entry, and
+// a result store opened against the wrong fingerprint or read-only on a
+// missing directory - must produce a DISTINCT sentinel (errors.Is) and
+// an actionable message, so an operator can tell "re-run the campaign"
+// apart from "wrong file" apart from "wrong machine model" without
+// reading source.
 func TestResumeErrorPaths(t *testing.T) {
 	dir := t.TempDir()
 
@@ -123,6 +124,38 @@ func TestResumeErrorPaths(t *testing.T) {
 			sentinel:     ErrJournalFormat,
 			notSentinels: []error{ErrJournalFingerprint, ErrJournalVersion, ErrJournalJobs},
 			wantMsg:      []string{"empty"},
+		},
+		{
+			// ReadJournal reads "{}" as a clean record for job 0 with no
+			// entry, report or metrics; resuming it would skip the job
+			// and print an empty result.
+			name: "journal record for another entry",
+			attempt: func() error {
+				specs := faultSpecs(t)
+				p := filepath.Join(dir, "entry.jsonl")
+				j, err := CreateJournal(p, CampaignFingerprint(specs, 42, testFaultPlan), len(specs))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := j.Close(); err != nil {
+					t.Fatal(err)
+				}
+				f, err := os.OpenFile(p, os.O_APPEND|os.O_WRONLY, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.WriteString("{}\n"); err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Close(); err != nil {
+					t.Fatal(err)
+				}
+				_, err = RunCampaign(specs, CampaignOptions{Workers: 2, Seed: 42, Faults: testFaultPlan, ResumePath: p})
+				return err
+			},
+			sentinel:     nil, // plain error, like every other bad record
+			notSentinels: []error{ErrJournalFingerprint, ErrJournalVersion, ErrJournalFormat, ErrJournalJobs},
+			wantMsg:      []string{"entry.jsonl", "job 0", `entry ""`, `"kmeans"`},
 		},
 		{
 			name: "store fingerprint mismatch",

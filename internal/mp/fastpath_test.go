@@ -119,9 +119,11 @@ func TestRoundFastPath(t *testing.T) {
 	}
 }
 
-// Micro-benchmarks for the tape hot path (make bench runs these; before
-// the precomputed charge factors, Array accessors branched on width and
-// multiplied by scale per call). Each loop carries its value to a
+// Micro-benchmarks for the tape hot path, kept as developer tools (make
+// bench-smoke runs each once; the benchmark module's layer ladder times
+// the same operations; before the precomputed charge factors, Array
+// accessors branched on width and multiplied by scale per call). Each
+// loop carries its value to a
 // package-level sink: a result left in a local the compiler can see is
 // dead lets it delete an inlined call along with the work being timed.
 

@@ -9,7 +9,6 @@
 package report
 
 import (
-	"context"
 	"math"
 
 	"repro/internal/bench"
@@ -62,10 +61,6 @@ type ConversionRow struct {
 
 // Options parameterises a regeneration.
 type Options struct {
-	// Context, when non-nil, cancels the study: the stage in flight stops
-	// at its next evaluation boundary and Run returns the study built so
-	// far (complete stages stay intact, the interrupted stage is dropped).
-	Context context.Context //mixplint:ignore ctxfirst -- Options is a configuration struct; the context arrives through it like http.Server.BaseContext rather than through a call chain
 	// Workers is the scheduler pool size (simulated cluster nodes).
 	Workers int
 	// KernelsOnly skips the application study (Tables IV and V and the
@@ -104,10 +99,6 @@ func Run(opts Options) *Study {
 	if !opts.NoCache {
 		cache = bench.NewCache(nil)
 	}
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	sched := harness.Scheduler{Workers: opts.Workers, Cache: cache}
 
 	// Table III: kernels x 6 algorithms at the kernel threshold.
@@ -129,11 +120,7 @@ func Run(opts Options) *Study {
 			kernelJobs = append(kernelJobs, j)
 		}
 	}
-	for i, jr := range sched.RunContext(ctx, kernelJobs) {
-		if ctx.Err() != nil {
-			progress("study canceled during kernel study")
-			return s
-		}
+	for i, jr := range sched.Run(kernelJobs) {
 		if jr.Err != nil {
 			panic("report: kernel study: " + jr.Err.Error())
 		}
@@ -155,10 +142,6 @@ func Run(opts Options) *Study {
 	runner := bench.NewRunner(Seed)
 	runner.Cache = cache
 	for _, a := range suite.Apps() {
-		if ctx.Err() != nil {
-			progress("study canceled during conversion study")
-			return s
-		}
 		ref := runner.Reference(a)
 		single := runner.RunManualSingle(a)
 		loss, err := verify.Compute(a.Metric(), ref.Output.Values, single.Output.Values)
@@ -183,12 +166,7 @@ func Run(opts Options) *Study {
 			}
 		}
 		s.App[th] = map[string]map[string]harness.Report{}
-		for i, jr := range sched.RunContext(ctx, jobs) {
-			if ctx.Err() != nil {
-				progress("study canceled during application study")
-				delete(s.App, th)
-				return s
-			}
+		for i, jr := range sched.Run(jobs) {
 			if jr.Err != nil {
 				panic("report: app study: " + jr.Err.Error())
 			}

@@ -80,8 +80,6 @@ type Options struct {
 	// (superseded duplicates) exceed this fraction of the store
 	// (default 0.5).
 	CompactFraction float64
-	// NoSync disables fsync (tests only; a crash may lose records).
-	NoSync bool
 }
 
 // location addresses one record inside a segment.
@@ -338,7 +336,7 @@ func (s *Store) loadSegment(id uint64, last bool, rescues *[]rescueSeg) error {
 				f.Close()
 				return fmt.Errorf("store: truncate torn tail of %s: %w", path, err)
 			}
-			if err := s.sync(f); err != nil {
+			if err := f.Sync(); err != nil {
 				f.Close()
 				return fmt.Errorf("store: sync truncated %s: %w", path, err)
 			}
@@ -394,7 +392,7 @@ func (s *Store) quarantine(seg *segment) {
 	qdir := filepath.Join(s.dir, "quarantine")
 	src := s.segPath(seg.id)
 	if err := os.MkdirAll(qdir, 0o755); err == nil {
-		if err := os.Rename(src, filepath.Join(qdir, filepath.Base(src))); err == nil && !s.opts.NoSync {
+		if err := os.Rename(src, filepath.Join(qdir, filepath.Base(src))); err == nil {
 			SyncDir(qdir)
 			SyncDir(s.dir)
 		}
@@ -423,7 +421,7 @@ func (s *Store) newSegment() error {
 		os.Remove(tmp)
 		return fmt.Errorf("store: write segment header: %w", err)
 	}
-	if err := s.sync(f); err != nil {
+	if err := f.Sync(); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("store: sync segment header: %w", err)
@@ -433,11 +431,9 @@ func (s *Store) newSegment() error {
 		os.Remove(tmp)
 		return fmt.Errorf("store: install segment: %w", err)
 	}
-	if !s.opts.NoSync {
-		if err := SyncDir(s.dir); err != nil {
-			f.Close()
-			return fmt.Errorf("store: sync %s: %w", s.dir, err)
-		}
+	if err := SyncDir(s.dir); err != nil {
+		f.Close()
+		return fmt.Errorf("store: sync %s: %w", s.dir, err)
 	}
 	seg := &segment{id: id, f: f, size: headerLen}
 	s.segs[id] = seg
@@ -458,7 +454,7 @@ func (s *Store) appendDirect(key, val []byte) error {
 	if _, err := s.active.f.WriteAt(buf, s.active.size); err != nil {
 		return fmt.Errorf("store: append: %w", err)
 	}
-	if err := s.sync(s.active.f); err != nil {
+	if err := s.active.f.Sync(); err != nil {
 		return fmt.Errorf("store: sync: %w", err)
 	}
 	loc := location{seg: s.active.id, off: s.active.size, klen: uint32(len(key)), vlen: uint32(len(val))}
@@ -470,14 +466,6 @@ func (s *Store) appendDirect(key, val []byte) error {
 	s.stats.Records++
 	s.stats.LiveBytes += recordSize(len(key), len(val))
 	return nil
-}
-
-// sync fsyncs a file unless NoSync is set.
-func (s *Store) sync(f *os.File) error {
-	if s.opts.NoSync {
-		return nil
-	}
-	return f.Sync()
 }
 
 // Get returns the value for key, or false. Every read re-verifies the
@@ -689,7 +677,7 @@ func (s *Store) writeRecords(recs []putReq) error {
 	if _, err := s.active.f.WriteAt(buf, base); err != nil {
 		return fmt.Errorf("store: append: %w", err)
 	}
-	if err := s.sync(s.active.f); err != nil {
+	if err := s.active.f.Sync(); err != nil {
 		return fmt.Errorf("store: sync: %w", err)
 	}
 	s.mu.Lock()
@@ -789,7 +777,7 @@ func (s *Store) compact() error {
 		os.Remove(tmp)
 		return fmt.Errorf("store: compact write: %w", err)
 	}
-	if err := s.sync(f); err != nil {
+	if err := f.Sync(); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("store: compact sync: %w", err)
@@ -799,11 +787,9 @@ func (s *Store) compact() error {
 		os.Remove(tmp)
 		return fmt.Errorf("store: compact install: %w", err)
 	}
-	if !s.opts.NoSync {
-		if err := SyncDir(s.dir); err != nil {
-			f.Close()
-			return fmt.Errorf("store: compact sync dir: %w", err)
-		}
+	if err := SyncDir(s.dir); err != nil {
+		f.Close()
+		return fmt.Errorf("store: compact sync dir: %w", err)
 	}
 	// The new segment is durable; retire every old one. A crash between
 	// the rename and the removals leaves duplicate records, which the
@@ -813,9 +799,7 @@ func (s *Store) compact() error {
 		seg.f.Close()
 		os.Remove(s.segPath(oldID))
 	}
-	if !s.opts.NoSync {
-		SyncDir(s.dir)
-	}
+	SyncDir(s.dir)
 	newSeg := &segment{id: id, f: f, size: int64(len(buf))}
 	s.segs = map[uint64]*segment{id: newSeg}
 	s.active = newSeg
@@ -883,7 +867,7 @@ func (s *Store) Close() error {
 	defer s.mu.Unlock()
 	var first error
 	if s.active != nil && !s.failed {
-		if err := s.sync(s.active.f); err != nil {
+		if err := s.active.f.Sync(); err != nil {
 			first = err
 		}
 	}
