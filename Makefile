@@ -98,10 +98,10 @@ bench-smoke:
 # guard that the targets still build, run, and find nothing new in a
 # short search; the checked-in seed corpora under testdata/fuzz run on
 # every plain go test). go test fuzzes one target in one package per
-# invocation, so each target gets its own line. FuzzReadJournal and
-# FuzzOpen fsync per input, so minimizing one multi-kilobyte input within
-# the default 60 s would use the whole budget; they minimize for 100
-# runs.
+# invocation, so each target gets its own line. FuzzReadJournal, FuzzOpen
+# and FuzzReadArchive fsync per input, so minimizing one multi-kilobyte
+# input within the default 60 s would use the whole budget; they
+# minimize for 100 runs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundBinary$$' -fuzztime=10s ./internal/mp
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLadder$$' -fuzztime=10s ./internal/mp
@@ -111,3 +111,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCampaign$$' -fuzztime=10s ./internal/harness
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/harness
 	$(GO) test -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzReadArchive$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/engine

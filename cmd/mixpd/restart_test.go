@@ -35,27 +35,41 @@ func sseFrames(t *testing.T, url string, lastEventID string) (frames []string, l
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	var frame []string
-	for sc.Scan() {
-		line := sc.Text()
-		if line != "" {
-			frame = append(frame, line)
-			if id, ok := strings.CutPrefix(line, "id: "); ok {
-				lastID = id
-			}
-			continue
+	for {
+		frame, ok := nextFrame(sc)
+		if !ok {
+			t.Fatalf("stream %s ended without a done frame: %v", url, sc.Err())
 		}
-		if len(frame) > 0 {
-			joined := strings.Join(frame, "\n")
-			frame = nil
-			if strings.HasPrefix(joined, "event: done") {
-				return frames, lastID
-			}
-			frames = append(frames, joined)
+		if strings.HasPrefix(frame, "event: done") {
+			return frames, lastID
+		}
+		lastID = frameID(frame)
+		frames = append(frames, frame)
+	}
+}
+
+// nextFrame reads one SSE frame from sc: its "id:"/"event:"/"data:"
+// lines joined by newlines. ok is false once the stream ends.
+func nextFrame(sc *bufio.Scanner) (frame string, ok bool) {
+	var lines []string
+	for sc.Scan() {
+		if line := sc.Text(); line != "" {
+			lines = append(lines, line)
+		} else if len(lines) > 0 {
+			return strings.Join(lines, "\n"), true
 		}
 	}
-	t.Fatalf("stream %s ended without a done frame: %v", url, sc.Err())
-	return nil, ""
+	return "", false
+}
+
+// frameID returns the SSE id of a frame, "" when it carries none.
+func frameID(frame string) string {
+	id, ok := strings.CutPrefix(frame, "id: ")
+	if !ok {
+		return ""
+	}
+	id, _, _ = strings.Cut(id, "\n")
+	return id
 }
 
 // TestServerRestartServesStoredCampaign is the service-level tentpole

@@ -262,8 +262,9 @@ func submit(e *engine.Engine, w http.ResponseWriter, r *http.Request) {
 // Events: one "event:"/"data:" frame per telemetry event, the event's
 // stream sequence number as the SSE id, and a final "done" frame when
 // the campaign finishes. A reconnecting client resumes with
-// Last-Event-ID (or ?after=N) and misses nothing: the log keeps the
-// full history.
+// Last-Event-ID (or ?after=N, a non-negative count of events already
+// received; anything else answers 400) and misses nothing: the log keeps
+// the full history.
 func streamEvents(e *engine.Engine, w http.ResponseWriter, r *http.Request) {
 	log, err := e.Events(r.PathValue("id"))
 	if err != nil {
@@ -275,11 +276,21 @@ func streamEvents(e *engine.Engine, w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotImplemented, errorBody{Error: "streaming unsupported by this connection"})
 		return
 	}
+	// The resume position counts events already delivered; the loop
+	// below counts on from it, so anything but a non-negative integer is
+	// refused rather than guessed at.
 	after := 0
-	if s := r.Header.Get("Last-Event-ID"); s != "" {
-		after, _ = strconv.Atoi(s)
-	} else if s := r.URL.Query().Get("after"); s != "" {
-		after, _ = strconv.Atoi(s)
+	s := r.Header.Get("Last-Event-ID")
+	if s == "" {
+		s = r.URL.Query().Get("after")
+	}
+	if s != "" {
+		n, err := strconv.Atoi(s)
+		if err != nil || n < 0 {
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad Last-Event-ID or after: must be a non-negative integer"})
+			return
+		}
+		after = n
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-store")

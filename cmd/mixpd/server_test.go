@@ -2,13 +2,16 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -261,6 +264,123 @@ func readSSE(t *testing.T, url string) []string {
 	}
 	t.Fatalf("SSE stream ended without a done frame (%v)", sc.Err())
 	return nil
+}
+
+// TestServerSSEResumeLive checks Last-Event-ID resumption on a campaign
+// that is still running. A first stream reads the events logged so far
+// and disconnects; a second resumes from the last id it saw while the
+// campaign is held mid-run, then reads to the end. Together they deliver
+// every event of the campaign exactly once, in order. A resume position
+// that is not a non-negative integer is refused.
+func TestServerSSEResumeLive(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 1})
+	defer eng.Close()
+	ts := httptest.NewServer(newServer(eng, serverOptions{}))
+	defer ts.Close()
+
+	// The only worker holds job 0's completion until release closes, so
+	// the campaign stays live with its start event logged.
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock()
+	id, err := eng.Submit(campaignYAML, engine.SubmitOptions{Seed: 42, OnJobDone: func(i int, _ harness.JobResult) {
+		if i == 0 {
+			<-release
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := eng.Events(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := log.Wait(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	logged := log.Len()
+	url := ts.URL + "/campaigns/" + id + "/events"
+
+	for _, bad := range []struct{ header, after string }{
+		{header: "-3"}, {after: "-3"}, {header: "x"}, {after: "1.5"},
+	} {
+		req, err := http.NewRequest(http.MethodGet, url+"?after="+bad.after, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bad.header != "" {
+			req.Header.Set("Last-Event-ID", bad.header)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("Last-Event-ID %q, after %q: status %d, want 400", bad.header, bad.after, resp.StatusCode)
+		}
+	}
+
+	// First connection: the events logged so far, then disconnect.
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	var got []string
+	for len(got) < logged {
+		frame, ok := nextFrame(sc)
+		if !ok {
+			t.Fatalf("live stream ended after %d of %d frames: %v", len(got), logged, sc.Err())
+		}
+		got = append(got, frame)
+	}
+	resp.Body.Close()
+
+	// Second connection: resume while the campaign is still held, then
+	// let it finish.
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Last-Event-ID", frameID(got[len(got)-1]))
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("resume: status %d", resp.StatusCode)
+	}
+	if st, err := eng.Status(id); err != nil || st.State.Terminal() {
+		t.Fatalf("campaign not live at resume: %+v, %v", st, err)
+	}
+	unblock()
+	sc = bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	for {
+		frame, ok := nextFrame(sc)
+		if !ok {
+			t.Fatalf("resumed stream ended without a done frame: %v", sc.Err())
+		}
+		if strings.HasPrefix(frame, "event: done") {
+			break
+		}
+		got = append(got, frame)
+	}
+
+	want, _ := sseFrames(t, url, "")
+	if len(got) != len(want) {
+		t.Fatalf("live stream plus resume delivered %d frames, the campaign logged %d", len(got), len(want))
+	}
+	for i := range want {
+		if id := frameID(got[i]); id != strconv.Itoa(i+1) || got[i] != want[i] {
+			t.Fatalf("frame %d (id %s) differs from the full stream's:\n%s\nwant\n%s", i, id, got[i], want[i])
+		}
+	}
 }
 
 // TestServerTwoTenantsCancelOne is the service acceptance path: two

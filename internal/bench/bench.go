@@ -231,7 +231,10 @@ func AllSingle(n int) Config {
 	return c
 }
 
-// Result is everything one evaluation of one configuration yields.
+// Result is everything one evaluation of one configuration yields. A
+// Result from Runner.RunShared shares Output.Values and Profile with the
+// run cache and must not be mutated; every other Runner method returns
+// slices the caller owns.
 type Result struct {
 	// Output is the verification payload.
 	Output Output
@@ -280,6 +283,11 @@ type Runner struct {
 	// campaign job) share one Cache; the machine model is part of the
 	// key, so runners with different models coexist safely. Nil means
 	// every configuration executes.
+	//
+	// The cache shares each stored Result with every caller (see Cache).
+	// RunShared hands it out as it is, read-only; Run, RunContext, RunIR,
+	// RunManualSingle, and Reference copy its Output.Values and Profile
+	// first, so their callers may mutate what they get.
 	Cache *Cache
 	// Compiler runs the executions the run cache does not serve, on
 	// tapes pooled per program and with input streams recorded per
@@ -364,6 +372,15 @@ func (r *Runner) Run(b Benchmark, cfg Config) Result {
 // - so the error return is exclusively the waiting side's. A nil ctx
 // never cancels, making RunContext(nil, b, cfg) identical to Run.
 func (r *Runner) RunContext(ctx context.Context, b Benchmark, cfg Config) (Result, error) {
+	res, err := r.RunShared(ctx, b, cfg)
+	return r.owned(res), err
+}
+
+// RunShared is RunContext without the copy: with a cache installed, the
+// returned Output.Values and Profile are the cache's stored slices,
+// shared with every other caller, and must not be mutated. The
+// evaluator calls it for every candidate, since it only reads them.
+func (r *Runner) RunShared(ctx context.Context, b Benchmark, cfg Config) (Result, error) {
 	n := b.Graph().NumVars()
 	if cfg != nil && len(cfg) != n {
 		panic(fmt.Sprintf("bench: config for %s has %d entries, want %d", b.Name(), len(cfg), n))
@@ -378,6 +395,16 @@ func (r *Runner) RunContext(ctx context.Context, b Benchmark, cfg Config) (Resul
 	}
 	r.observe(b, kind, res)
 	return res, nil
+}
+
+// owned returns res with slices its caller owns: a copy when a cache is
+// installed, whose entries are shared, and res itself otherwise, since a
+// fresh execution's slices belong to no one else.
+func (r *Runner) owned(res Result) Result {
+	if r.Cache == nil {
+		return res
+	}
+	return cloneResult(res)
 }
 
 // memoised routes one execution through the shared cache when one is
@@ -474,7 +501,7 @@ func (r *Runner) RunIR(b Benchmark, cfg Config) Result {
 	}
 	res, _ := r.memoised(nil, b, runcache.IR, cfg, func() Result { return r.execute(b, runcache.IR, b.Name()+"/ir", cfg) })
 	r.observe(b, "ir", res)
-	return res
+	return r.owned(res)
 }
 
 // RunManualSingle evaluates the whole-program single-precision conversion
@@ -494,7 +521,7 @@ func (r *Runner) RunManualSingle(b Benchmark) Result {
 	full := AllSingle(n + h)
 	res, _ := r.memoised(nil, b, runcache.Source, full, func() Result { return r.execute(b, runcache.Source, b.Name(), full) })
 	r.observe(b, "manual-single", res)
-	return res
+	return r.owned(res)
 }
 
 // jitterSeed mixes the workload seed, benchmark name, and configuration

@@ -15,6 +15,12 @@ import (
 // Construct with NewCache (or NewStoredCache) and install on each
 // Runner's Cache field; see Runner.Cache for the determinism contract.
 //
+// Every Result it stores is shared, never copied: each hit hands out the
+// entry's own Output.Values and Profile slices, and an execution the
+// index shares reuses them too, so they are read-only for everyone.
+// Runner.RunShared returns them as they are; the other Runner methods
+// copy them before returning (see Runner.Cache).
+//
 // It has two levels. The embedded runcache.Cache memoises whole Results
 // by the full purity key (bench, seed, semantics, machine fingerprint,
 // configuration), with singleflight and an optional durable tier. Behind
@@ -64,8 +70,8 @@ type execGroup struct {
 }
 
 // execution is the configuration-independent part of a Result. Its
-// slices are shared with the run-cache entries built from it, which are
-// immutable: the run cache hands every caller a clone.
+// slices are shared with the run-cache entries built from it and, like
+// them, are never mutated.
 type execution struct {
 	output  Output
 	cost    mp.Cost
@@ -78,7 +84,7 @@ type execution struct {
 // scheduling, keep this recorder separate from any deterministic campaign
 // telemetry (see the runcache package comment).
 func NewCache(tel *telemetry.Recorder) *Cache {
-	return newCache(runcache.Options[Result]{Clone: cloneResult, Telemetry: tel})
+	return newCache(runcache.Options[Result]{Telemetry: tel})
 }
 
 func newCache(opts runcache.Options[Result]) *Cache {
@@ -159,8 +165,8 @@ func restrictKey(dst []byte, cfg Config, reads []bool) []byte {
 	return dst
 }
 
-// cloneResult deep-copies a Result's slice fields so cached values handed
-// to one caller can never be corrupted by another.
+// cloneResult deep-copies a Result's slice fields, giving a caller of the
+// copying Runner methods a Result it owns.
 func cloneResult(r Result) Result {
 	if r.Output.Values != nil {
 		out := make([]float64, len(r.Output.Values))

@@ -269,7 +269,7 @@ func (t storeTier) Store(k runcache.Key, r Result) {
 // executions to it. A nil st yields a plain in-memory cache, so callers
 // can thread an optional store unconditionally.
 func NewStoredCache(tel *telemetry.Recorder, st *store.Store) *Cache {
-	opts := runcache.Options[Result]{Clone: cloneResult, Telemetry: tel}
+	opts := runcache.Options[Result]{Telemetry: tel}
 	if st != nil {
 		opts.Tier = storeTier{st: st, tel: tel}
 	}

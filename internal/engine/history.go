@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -145,9 +147,6 @@ func (e *Engine) loadHistory() {
 	for _, name := range names {
 		path := filepath.Join(dir, name)
 		a, err := readArchive(path)
-		if err == nil && (a.ID == "" || !a.State.Terminal()) {
-			err = fmt.Errorf("engine: archive %s: missing id or non-terminal state %q", name, a.State)
-		}
 		if err != nil {
 			e.histLoadErrs++
 			e.histLastErr = err.Error()
@@ -168,19 +167,53 @@ func (e *Engine) loadHistory() {
 	}
 }
 
-// readArchive loads and strictly decodes one archive document.
+// readArchive loads, strictly decodes, and checks one archive document.
+// It accepts only what archiveCampaign can have written: one JSON
+// document, with no unknown field and nothing after it, that passes
+// archive.check.
 func readArchive(path string) (archive, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return archive{}, err
 	}
+	name := filepath.Base(path)
 	var a archive
-	dec := json.NewDecoder(strings.NewReader(string(b)))
+	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&a); err != nil {
-		return archive{}, fmt.Errorf("engine: archive %s: %w", filepath.Base(path), err)
+		return archive{}, fmt.Errorf("engine: archive %s: %w", name, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return archive{}, fmt.Errorf("engine: archive %s: data after the document", name)
+	}
+	if err := a.check(name); err != nil {
+		return archive{}, fmt.Errorf("engine: archive %s: %w", name, err)
 	}
 	return a, nil
+}
+
+// check refuses an archive that archiveCampaign cannot have written to
+// the file called name. A written archive's ID names its file, its state
+// is terminal, it holds one record per completed job and no more records
+// than jobs, and its events are numbered 1, 2, ... in order. The last
+// matters to every SSE client: a resume position counts events, so a log
+// whose numbers skip or repeat would serve a resumed client the wrong
+// frames.
+func (a archive) check(name string) error {
+	switch {
+	case a.ID == "" || a.ID+".json" != name:
+		return fmt.Errorf("id %q does not name the file", a.ID)
+	case !a.State.Terminal():
+		return fmt.Errorf("non-terminal state %q", a.State)
+	case a.Jobs < 0 || a.Completed != len(a.Records) || len(a.Records) > a.Jobs:
+		return fmt.Errorf("%d records for %d completed of %d jobs", len(a.Records), a.Completed, a.Jobs)
+	}
+	for i, ev := range a.Events {
+		if ev.Seq != uint64(i+1) {
+			return fmt.Errorf("event %d carries seq %d", i+1, ev.Seq)
+		}
+	}
+	return nil
 }
 
 // restoreCampaign rebuilds a serveable campaign from its archive: the

@@ -11,8 +11,13 @@
 //
 // The store is sharded for concurrency and deduplicates in flight: when
 // two workers propose the same configuration at the same moment, one
-// executes while the other waits for the result (singleflight). Results
-// are returned as clones, so no caller can corrupt the shared entry.
+// executes while the other waits for the result (singleflight).
+//
+// Sharing rule: every caller for a key receives the stored value itself,
+// never a copy, so reference fields (slices, maps, pointers) inside it
+// are shared by every tenant of the cache and are read-only. A caller
+// that needs to mutate a result copies it first; the cache copies
+// nothing, which is what makes a hit cost a lookup and nothing more.
 //
 // Determinism contract: the cache changes which executions physically run,
 // never what any caller observes. Callers charge simulated build+run time
@@ -127,11 +132,12 @@ func (k Key) AppendBinary(dst []byte) []byte {
 // determinism contract in the package comment holds with any tier.
 type Tier[V any] interface {
 	// Load returns the tier's value for k, or false. The returned value
-	// is owned by the caller.
+	// becomes the stored entry that every caller shares, so the tier
+	// must not keep a reference to it.
 	Load(k Key) (V, bool)
-	// Store publishes a freshly executed value to the tier. The tier
-	// must not retain v's reference fields past the call (encode or
-	// copy before returning).
+	// Store publishes a freshly executed value to the tier. v is the
+	// shared entry: the tier must not mutate it or retain its reference
+	// fields past the call (encode or copy before returning).
 	Store(k Key, v V)
 }
 
@@ -172,10 +178,6 @@ type Stats struct {
 
 // Options configures a Cache.
 type Options[V any] struct {
-	// Clone deep-copies a value; every Do call returns a clone so callers
-	// can never corrupt the shared entry. Nil means values are returned
-	// as-is (only safe for value types without reference fields).
-	Clone func(V) V
 	// Telemetry, when non-nil, receives the cache's counters
 	// (mixpbench_runcache_{hits,misses,inflight_waits}_total, labelled by
 	// bench) and one "runcache_hit" event per hit. These reflect real
@@ -213,9 +215,10 @@ func New[V any](opts Options[V]) *Cache[V] {
 
 // Do returns the memoised value for k, executing fn to produce it on the
 // first call. Concurrent calls for the same key execute fn once: the
-// first caller leads, the rest wait for its result. The returned value is
-// a clone (when Options.Clone is set), so mutating it cannot corrupt the
-// store. A nil cache executes fn directly.
+// first caller leads, the rest wait for its result. Every call returns
+// the stored value itself, whose reference fields are shared and must
+// not be mutated (see the package comment). A nil cache executes fn
+// directly.
 //
 // If the leading call panics, its entry is discarded and each waiter
 // retries Do - typically reproducing the panic in its own call frame, so
@@ -283,7 +286,7 @@ func (c *Cache[V]) DoContext(ctx context.Context, k Key, fn func() V) (V, error)
 					"semantics": k.Semantics.String(),
 				})
 			}
-			return c.clone(e.val), nil
+			return e.val, nil
 		}
 		e = &entry[V]{done: make(chan struct{})}
 		sh.entries[k] = e
@@ -316,7 +319,7 @@ func (c *Cache[V]) DoContext(ctx context.Context, k Key, fn func() V) (V, error)
 				probe.CacheHit()
 				c.count("mixpbench_runcache_hits_total", k)
 				c.count("mixpbench_runcache_tier_hits_total", k)
-				return c.clone(e.val), nil
+				return e.val, nil
 			}
 			c.tierMisses.Add(1)
 		}
@@ -331,16 +334,8 @@ func (c *Cache[V]) DoContext(ctx context.Context, k Key, fn func() V) (V, error)
 			tier.Store(k, e.val)
 			c.tierWrites.Add(1)
 		}
-		return c.clone(e.val), nil
+		return e.val, nil
 	}
-}
-
-// clone applies the configured deep copy.
-func (c *Cache[V]) clone(v V) V {
-	if c.opts.Clone == nil {
-		return v
-	}
-	return c.opts.Clone(v)
 }
 
 // count bumps one bench-labelled cache counter.

@@ -167,20 +167,29 @@ func TestLeaderPanicRetries(t *testing.T) {
 	}
 }
 
-// TestCloneIsolation checks that mutating a returned value cannot corrupt
-// the shared entry when a Clone is configured.
-func TestCloneIsolation(t *testing.T) {
-	c := New(Options[[]float64]{Clone: func(v []float64) []float64 {
-		out := make([]float64, len(v))
-		copy(out, v)
-		return out
-	}})
+// sliceTier is a one-value Tier over []float64, for the sharing test.
+type sliceTier struct{ v []float64 }
+
+func (t sliceTier) Load(Key) ([]float64, bool) { return t.v, t.v != nil }
+func (sliceTier) Store(Key, []float64)         {}
+
+// TestHitSharesStoredValue checks the sharing rule: every hit returns the
+// stored value itself, not a copy - the same backing array the leading
+// call returned, whether the leader executed or loaded from the tier.
+func TestHitSharesStoredValue(t *testing.T) {
+	c := New(Options[[]float64]{})
 	k := key("cfd", "0011")
 	first := c.Do(k, func() []float64 { return []float64{1, 2, 3} })
-	first[0] = -999
 	second := c.Do(k, func() []float64 { t.Fatal("re-executed"); return nil })
-	if second[0] != 1 {
-		t.Fatalf("cached value corrupted through a returned clone: %v", second)
+	if &second[0] != &first[0] {
+		t.Fatal("hit returned a copy, want the stored value")
+	}
+
+	tiered := New(Options[[]float64]{Tier: sliceTier{v: []float64{4, 5}}})
+	loaded := tiered.Do(k, func() []float64 { t.Fatal("executed past the tier"); return nil })
+	again := tiered.Do(k, func() []float64 { t.Fatal("re-executed"); return nil })
+	if &again[0] != &loaded[0] {
+		t.Fatal("hit after a tier load returned a copy, want the stored value")
 	}
 }
 

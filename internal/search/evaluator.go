@@ -191,7 +191,10 @@ const (
 
 // NewEvaluator builds an evaluator over space with the paper's default
 // budget. The baseline (all-double) measurement is taken immediately and
-// charged against the budget like any other configuration.
+// charged against the budget like any other configuration. The evaluator
+// only reads run outputs and profiles, so it takes every run, the
+// baseline included, through Runner.RunShared: no result is copied out of
+// the run cache.
 func NewEvaluator(space *Space, runner *bench.Runner, b bench.Benchmark, threshold float64) *Evaluator {
 	e := &Evaluator{
 		space:     space,
@@ -202,7 +205,8 @@ func NewEvaluator(space *Space, runner *bench.Runner, b bench.Benchmark, thresho
 		buildCost: DefaultBuildSeconds,
 		cache:     make(map[string]Result),
 	}
-	e.reference = runner.Reference(b)
+	// A nil context never cancels, so RunShared cannot fail here.
+	e.reference, _ = runner.RunShared(nil, b, nil)
 	e.spent += e.buildCost + e.reference.Measured.Total
 	e.buildSpent += e.buildCost
 	// The all-double selection IS the baseline: seed the cache so
@@ -343,7 +347,9 @@ func (e *Evaluator) Space() *Space { return e.space }
 // Threshold returns the quality threshold configurations must meet.
 func (e *Evaluator) Threshold() float64 { return e.threshold }
 
-// Reference returns the baseline (all-double) measurement.
+// Reference returns the baseline (all-double) measurement. Its
+// Output.Values and Profile are shared with the run cache and must not be
+// mutated.
 func (e *Evaluator) Reference() bench.Result { return e.reference }
 
 // Evaluated returns the paper's EV metric: the number of distinct
@@ -441,7 +447,7 @@ func (e *Evaluator) Evaluate(set Set) (Result, error) {
 		e.observe(key, cfg.Demoted(), r, false)
 		return r, nil
 	}
-	res, err := e.runner.RunContext(e.ctx, e.benchmark, cfg)
+	res, err := e.runner.RunShared(e.ctx, e.benchmark, cfg)
 	if err != nil {
 		// The only error path is a context canceled while waiting on a
 		// shared cache's in-flight execution: undo the EV charge (the run

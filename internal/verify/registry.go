@@ -14,7 +14,9 @@ import (
 // MetricFunc computes an error value over a reference and a candidate
 // output of equal non-zero length (both guaranteed by the caller). Lower
 // must mean better, with 0 meaning exact agreement, so that one threshold
-// comparison works for every metric.
+// comparison works for every metric. It must not modify either slice:
+// the search passes the run cache's stored outputs, which every analysis
+// shares.
 type MetricFunc func(ref, got []float64) float64
 
 // customBase offsets custom metric IDs past the built-ins.

@@ -60,7 +60,10 @@ type (
 	Config = bench.Config
 	// Runner executes configurations under the machine model.
 	Runner = bench.Runner
-	// RunResult is one configuration's execution record.
+	// RunResult is one configuration's execution record. A Runner with a
+	// run cache shares each stored record with every caller; its methods
+	// return copies of Output.Values and Profile, so a RunResult they
+	// return is the caller's to change.
 	RunResult = bench.Result
 	// Prec is a precision level (F64 or F32).
 	Prec = mp.Prec
