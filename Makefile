@@ -112,3 +112,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/harness
 	$(GO) test -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzReadArchive$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/engine
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime=10s ./internal/faults

@@ -33,10 +33,15 @@ const nilSlice = 0xffffffff
 
 // EncodeResult appends the versioned binary encoding of r to dst. The
 // encoding is little-endian and bit-exact: float64s are stored as raw
-// bits, so NaNs and infinities round-trip.
+// bits, so NaNs and infinities round-trip. When dst lacks room, it is
+// grown once, by exactly the encoded length, so EncodeResult(nil, r)
+// returns a slice whose capacity is its length.
 //
 //mixplint:key Result -- a Result field missing from the codec is silently dropped by the durable tier and replays wrong; bump resultCodecVersion when extending
 func EncodeResult(dst []byte, r Result) []byte {
+	if n := encodedLen(r); cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
 	dst = append(dst, resultCodecVersion)
 	dst = appendFloatSlice(dst, r.Output.Values)
 	for _, u := range costWords(r.Cost) {
@@ -58,6 +63,13 @@ func EncodeResult(dst []byte, r Result) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.Measured.Runs))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Measured.Total))
 	return dst
+}
+
+// encodedLen is the length of r's encoding: the version byte, the
+// length-prefixed values, the cost's counter words, the length-prefixed
+// profile of three words per variable, and five closing words.
+func encodedLen(r Result) int {
+	return 1 + 4 + 8*len(r.Output.Values) + 8*len(costWords(r.Cost)) + 4 + 24*len(r.Profile) + 8*5
 }
 
 // DecodeResult decodes one EncodeResult payload. Every byte must be
@@ -260,6 +272,9 @@ func (t storeTier) Load(k runcache.Key) (Result, bool) {
 }
 
 // Store encodes and enqueues the record (write-behind; see store.Put).
+// The key and the encoding are each one exact-size allocation that Put
+// takes over, so the record's bytes are copied once more, into the
+// store's batch buffer, on their way to disk.
 func (t storeTier) Store(k runcache.Key, r Result) {
 	t.st.Put(k.AppendBinary(nil), EncodeResult(nil, r))
 }

@@ -5,10 +5,12 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/mp"
 	"repro/internal/perfmodel"
+	"repro/internal/runcache"
 	"repro/internal/store"
 )
 
@@ -155,10 +157,93 @@ func TestStoredCacheWarmAcrossGenerations(t *testing.T) {
 	}
 }
 
+// allocPerCall returns the bytes f allocates per call over calls
+// i = from, ..., to-1, counting every goroutine (the store's writer too).
+func allocPerCall(from, to int, f func(i int)) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := from; i < to; i++ {
+		f(i)
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(to-from)
+}
+
+// TestStoreTierAllocatesOneRecordCopy checks the durable tier's byte
+// path. Storing a fresh result and syncing it allocates about one copy
+// of its encoding: the exact-size encoding that Put takes over, framed
+// into the writer's reused batch buffer. A Get allocates about one
+// record, the buffer its value is a view of. Reopening the store
+// allocates for its largest record and its index, not for every byte it
+// holds.
+func TestStoreTierAllocatesOneRecordCopy(t *testing.T) {
+	dir := t.TempDir()
+	opts := store.Options{Fingerprint: StoreFingerprint(1)}
+	st, err := store.Open(dir, opts)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	r := Result{Output: Output{Values: make([]float64, 2000)}, Profile: make([]mp.VarProfile, 20)}
+	encLen := uint64(len(EncodeResult(nil, r)))
+	key := func(i int) runcache.Key { return runcache.Key{Bench: "alloc", Seed: int64(i), Config: "0110"} }
+	recLen := encLen + uint64(len(key(0).AppendBinary(nil))) + 12
+	tier := storeTier{st: st}
+	const records = 64
+
+	put := func(i int) {
+		tier.Store(key(i), r)
+		if err := st.Sync(); err != nil {
+			t.Fatalf("Sync: %v", err)
+		}
+	}
+	put(0) // warm up the writer's batch buffer
+	got := allocPerCall(1, records, put)
+	t.Logf("record %d bytes (encoding %d): Store+Sync allocates %d bytes", recLen, encLen, got)
+	if limit := encLen*5/4 + 4<<10; got > limit {
+		t.Errorf("Store and Sync of a %d-byte encoding allocated %d bytes, want at most %d", encLen, got, limit)
+	}
+
+	keys := make([][]byte, records)
+	for i := range keys {
+		keys[i] = key(i).AppendBinary(nil)
+	}
+	get := func(i int) {
+		if _, ok := st.Get(keys[i]); !ok {
+			t.Fatalf("Get(%d) missed", i)
+		}
+	}
+	got = allocPerCall(0, records, get)
+	t.Logf("Get allocates %d bytes", got)
+	if limit := recLen*5/4 + 256; got > limit {
+		t.Errorf("Get of a %d-byte record allocated %d bytes, want at most %d", recLen, got, limit)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	// The index costs each record its key and a map entry; 512 bytes a
+	// record bounds that with room to spare.
+	var reopened *store.Store
+	open := allocPerCall(0, 1, func(int) {
+		if reopened, err = store.Open(dir, opts); err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+	})
+	defer reopened.Close()
+	t.Logf("Open of %d records allocates %d bytes", records, open)
+	if n := reopened.Stats().Records; n != records {
+		t.Fatalf("reopened store holds %d records, want %d", n, records)
+	}
+	if limit := 2*recLen + records*512 + 32<<10; open > limit {
+		t.Errorf("opening %d records of %d bytes allocated %d bytes, want at most %d", records, recLen, open, limit)
+	}
+}
+
 // FuzzDecodeResult checks the decoder of the durable tier's records,
 // which it reads back from disk: it never panics, and every payload it
 // accepts re-encodes to exactly the input bytes, so a record that decodes
-// is the record that was written. The seed corpus under testdata/fuzz
+// is the record that was written. The re-encoding is also one
+// allocation of exactly its length. The seed corpus under testdata/fuzz
 // covers nil and empty slices, NaN and infinity bits, a profile, and
 // truncated, trailing-byte, wrong-version, and oversized-length payloads.
 func FuzzDecodeResult(f *testing.F) {
@@ -167,8 +252,12 @@ func FuzzDecodeResult(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if enc := EncodeResult(nil, r); !bytes.Equal(enc, b) {
+		enc := EncodeResult(nil, r)
+		if !bytes.Equal(enc, b) {
 			t.Fatalf("DecodeResult accepted %x, which re-encodes to %x", b, enc)
+		}
+		if cap(enc) != len(enc) {
+			t.Fatalf("EncodeResult(nil, r) returned %d bytes in a slice of capacity %d, want one exact-size allocation", len(enc), cap(enc))
 		}
 	})
 }

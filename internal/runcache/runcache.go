@@ -107,10 +107,14 @@ func (k Key) hash() uint64 {
 // durable store tier: bench name, NUL, then the fixed-width numeric
 // components, then the config digits. Bench names never contain NUL, so
 // the encoding is injective, and every component is little-endian so the
-// bytes are stable across architectures.
+// bytes are stable across architectures. When dst lacks room, it is
+// grown once, by exactly the key's length.
 //
 //mixplint:key Key -- the content address must cover every purity-key component, or distinct runs collide in the durable tier
 func (k Key) AppendBinary(dst []byte) []byte {
+	if n := len(k.Bench) + 1 + 8 + 1 + 8 + len(k.Config); cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
 	dst = append(dst, k.Bench...)
 	dst = append(dst, 0)
 	dst = append(dst,

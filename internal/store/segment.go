@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -87,7 +88,7 @@ func recordSize(klen, vlen int) int64 {
 
 // scanned is one record recovered from a segment scan.
 type scanned struct {
-	key []byte
+	key string
 	off int64 // offset of the record's first byte in the segment
 	// klen and vlen locate the value inside the record.
 	klen, vlen uint32
@@ -108,7 +109,9 @@ type scanResult struct {
 // reports the longest valid checksummed prefix. It never fails on
 // corrupt data - corruption just ends the prefix - so callers decide
 // whether to truncate (torn tail of the active segment) or quarantine
-// (a sealed segment that should have been immutable).
+// (a sealed segment that should have been immutable). Every record is
+// read into one reused buffer and only its key is copied out, so a scan
+// allocates for the largest record and the index, not for the segment.
 func scanSegment(f *os.File) (scanResult, error) {
 	info, err := f.Stat()
 	if err != nil {
@@ -117,6 +120,7 @@ func scanSegment(f *os.File) (scanResult, error) {
 	size := info.Size()
 	res := scanResult{validLen: headerLen}
 	var lenbuf [8]byte
+	var buf []byte
 	for off := int64(headerLen); off < size; {
 		if size-off < int64(len(lenbuf)) {
 			res.torn = fmt.Errorf("truncated length prefix at offset %d", off)
@@ -136,42 +140,58 @@ func scanSegment(f *os.File) (scanResult, error) {
 			res.torn = fmt.Errorf("record at offset %d extends past EOF", off)
 			return res, nil
 		}
-		body := make([]byte, total)
-		if _, err := f.ReadAt(body, off); err != nil {
-			return res, fmt.Errorf("read record at %d: %w", off, err)
-		}
-		want := binary.LittleEndian.Uint32(body[total-4:])
-		if got := crc32.Checksum(body[:total-4], castagnoli); got != want {
-			res.torn = fmt.Errorf("record checksum mismatch at offset %d", off)
+		rec, err := readRecord(f, location{off: off, klen: klen, vlen: vlen}, buf)
+		if errors.Is(err, errChecksum) {
+			res.torn = err
 			return res, nil
 		}
-		key := make([]byte, klen)
-		copy(key, body[8:8+klen])
-		res.recs = append(res.recs, scanned{key: key, off: off, klen: klen, vlen: vlen})
+		if err != nil {
+			return res, fmt.Errorf("read record at %d: %w", off, err)
+		}
+		buf = rec
+		res.recs = append(res.recs, scanned{key: string(rec[8 : 8+klen]), off: off, klen: klen, vlen: vlen})
 		off += total
 		res.validLen = off
 	}
 	return res, nil
 }
 
-// readValue reads and re-verifies one record, returning its value. The
-// checksum is checked on every read, not only at open, so silent media
-// corruption surfaces as a miss instead of a poisoned result.
-func readValue(f *os.File, loc location) ([]byte, error) {
+// errChecksum marks a record whose trailing checksum does not match its
+// bytes.
+var errChecksum = errors.New("record checksum mismatch")
+
+// readRecord reads the framed record at loc into buf, reusing its
+// capacity when it is large enough, and verifies the record checksum.
+func readRecord(f *os.File, loc location, buf []byte) ([]byte, error) {
 	total := recordSize(int(loc.klen), int(loc.vlen))
-	body := make([]byte, total)
-	if _, err := f.ReadAt(body, loc.off); err != nil {
+	if int64(cap(buf)) < total {
+		buf = make([]byte, total)
+	}
+	rec := buf[:total]
+	if _, err := f.ReadAt(rec, loc.off); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, err
 	}
-	want := binary.LittleEndian.Uint32(body[total-4:])
-	if got := crc32.Checksum(body[:total-4], castagnoli); got != want {
-		return nil, fmt.Errorf("record checksum mismatch at offset %d", loc.off)
+	if binary.LittleEndian.Uint32(rec[total-4:]) != crc32.Checksum(rec[:total-4], castagnoli) {
+		return nil, fmt.Errorf("%w at offset %d", errChecksum, loc.off)
 	}
-	val := body[8+int(loc.klen) : 8+int(loc.klen)+int(loc.vlen)]
-	out := make([]byte, len(val))
-	copy(out, val)
-	return out, nil
+	return rec, nil
+}
+
+// readValue reads and re-verifies one record, returning its value. The
+// checksum is checked on every read, not only at open, so silent media
+// corruption surfaces as a miss instead of a poisoned result. The value
+// is a view, capped at its length, of the one buffer the record was
+// read into: nothing else references that buffer, so the caller owns
+// the value.
+func readValue(f *os.File, loc location) ([]byte, error) {
+	rec, err := readRecord(f, loc, nil)
+	if err != nil {
+		return nil, err
+	}
+	start := 8 + int(loc.klen)
+	end := start + int(loc.vlen)
+	return rec[start:end:end], nil
 }

@@ -172,6 +172,13 @@ type Store struct {
 	failed  bool
 	lastErr error
 
+	// The Stats counters that Get and Put bump without holding mu.
+	gets, getHits, readErrors, droppedPuts atomic.Uint64
+
+	// wbuf is the writer goroutine's batch buffer, kept between batches
+	// up to MaxSegmentBytes of capacity. Only the writer touches it.
+	wbuf []byte
+
 	closing    atomic.Bool
 	putWG      sync.WaitGroup
 	putCh      chan putReq
@@ -263,17 +270,17 @@ func (s *Store) load() error {
 	// segment may supersede a rescued record.
 	for _, r := range rescues {
 		for _, rec := range r.recs {
-			loc, ok := s.index[string(rec.key)]
+			loc, ok := s.index[rec.key]
 			if !ok || loc.seg != r.seg.id {
 				continue
 			}
 			val, err := readValue(r.seg.f, loc)
 			if err != nil {
-				s.stats.ReadErrors++
-				s.dropLocked(string(rec.key), loc)
+				s.readErrors.Add(1)
+				s.dropLocked(rec.key, loc)
 				continue
 			}
-			if err := s.appendDirect(rec.key, val); err != nil {
+			if err := s.appendDirect([]byte(rec.key), val); err != nil {
 				return err
 			}
 			s.stats.RescuedRecords++
@@ -363,10 +370,10 @@ func (s *Store) loadSegment(id uint64, last bool, rescues *[]rescueSeg) error {
 func (s *Store) indexRecords(seg *segment, recs []scanned) {
 	for _, rec := range recs {
 		loc := location{seg: seg.id, off: rec.off, klen: rec.klen, vlen: rec.vlen}
-		if old, ok := s.index[string(rec.key)]; ok {
-			s.dropLocked(string(rec.key), old)
+		if old, ok := s.index[rec.key]; ok {
+			s.dropLocked(rec.key, old)
 		}
-		s.index[string(rec.key)] = loc
+		s.index[rec.key] = loc
 		s.stats.Records++
 		s.stats.LiveBytes += recordSize(int(rec.klen), int(rec.vlen))
 	}
@@ -470,12 +477,13 @@ func (s *Store) appendDirect(key, val []byte) error {
 
 // Get returns the value for key, or false. Every read re-verifies the
 // record checksum; a record that fails verification counts as a read
-// error and a miss, never a wrong answer.
+// error and a miss, never a wrong answer. The value is the caller's: it
+// shares memory with nothing the store keeps.
 func (s *Store) Get(key []byte) ([]byte, bool) {
 	if s == nil {
 		return nil, false
 	}
-	atomic.AddUint64(&s.stats.Gets, 1)
+	s.gets.Add(1)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	loc, ok := s.index[string(key)]
@@ -488,10 +496,10 @@ func (s *Store) Get(key []byte) ([]byte, bool) {
 	}
 	val, err := readValue(seg.f, loc)
 	if err != nil {
-		atomic.AddUint64(&s.stats.ReadErrors, 1)
+		s.readErrors.Add(1)
 		return nil, false
 	}
-	atomic.AddUint64(&s.stats.GetHits, 1)
+	s.getHits.Add(1)
 	return val, true
 }
 
@@ -500,12 +508,16 @@ func (s *Store) Get(key []byte) ([]byte, bool) {
 // fsync per batch (group commit). Call Sync to wait for durability. Puts
 // on a read-only, failed, or closed store are dropped and counted -
 // degrading the store never degrades the campaign.
+//
+// Put takes ownership of key and val without copying them: the caller
+// must not modify either slice afterwards. The store only reads them, so
+// one read-only buffer may be passed to any number of Puts.
 func (s *Store) Put(key, val []byte) {
 	if s == nil {
 		return
 	}
 	if s.opts.ReadOnly {
-		atomic.AddUint64(&s.stats.DroppedPuts, 1)
+		s.droppedPuts.Add(1)
 		return
 	}
 	// The WaitGroup + closing flag make Put/Close race-free without a
@@ -516,14 +528,10 @@ func (s *Store) Put(key, val []byte) {
 	s.putWG.Add(1)
 	defer s.putWG.Done()
 	if s.closing.Load() {
-		atomic.AddUint64(&s.stats.DroppedPuts, 1)
+		s.droppedPuts.Add(1)
 		return
 	}
-	k := make([]byte, len(key))
-	copy(k, key)
-	v := make([]byte, len(val))
-	copy(v, val)
-	s.putCh <- putReq{key: k, val: v}
+	s.putCh <- putReq{key: key, val: val}
 }
 
 // Sync blocks until every Put enqueued before it is durable (written
@@ -599,7 +607,7 @@ func (s *Store) runBatch(batch []putReq) {
 		case req.compact != nil:
 			compacts = append(compacts, req.compact)
 		case failed:
-			atomic.AddUint64(&s.stats.DroppedPuts, 1)
+			s.droppedPuts.Add(1)
 		default:
 			if _, dup := s.index[string(req.key)]; !dup {
 				recs = append(recs, req)
@@ -616,8 +624,8 @@ func (s *Store) runBatch(batch []putReq) {
 		s.failed = true
 		s.lastErr = err
 		s.stats.WriteErrors++
-		s.stats.DroppedPuts += uint64(len(recs))
 		s.mu.Unlock()
+		s.droppedPuts.Add(uint64(len(recs)))
 	} else if failed {
 		err = lastErr
 	}
@@ -649,7 +657,9 @@ func (s *Store) noteWriteError(err error) {
 
 // writeRecords appends the records to the active segment, fsyncs, then
 // publishes their locations and rotates if the segment is full. Runs on
-// the writer goroutine only.
+// the writer goroutine only. The batch is framed into s.wbuf, grown to
+// the batch's exact size before the first append when it is too small,
+// and kept for the next batch unless it outgrew MaxSegmentBytes.
 func (s *Store) writeRecords(recs []putReq) error {
 	if len(recs) == 0 {
 		return nil
@@ -661,16 +671,26 @@ func (s *Store) writeRecords(recs []putReq) error {
 		req putReq
 		off int64
 	}
-	var buf []byte
-	var placedRecs []placed
+	placedRecs := make([]placed, 0, len(recs))
 	base := s.active.size
+	size := int64(0)
 	for _, req := range recs {
 		if seen[string(req.key)] {
 			continue
 		}
 		seen[string(req.key)] = true
-		placedRecs = append(placedRecs, placed{req: req, off: base + int64(len(buf))})
-		buf = appendRecord(buf, req.key, req.val)
+		placedRecs = append(placedRecs, placed{req: req, off: base + size})
+		size += recordSize(len(req.key), len(req.val))
+	}
+	if int64(cap(s.wbuf)) < size {
+		s.wbuf = make([]byte, 0, size)
+	}
+	buf := s.wbuf[:0]
+	for _, p := range placedRecs {
+		buf = appendRecord(buf, p.req.key, p.req.val)
+	}
+	if int64(cap(s.wbuf)) > s.opts.MaxSegmentBytes {
+		s.wbuf = nil
 	}
 	// WriteAt, not Write: a segment reopened by recovery has file offset
 	// zero, and appends must land at its logical end regardless.
@@ -691,7 +711,7 @@ func (s *Store) writeRecords(recs []putReq) error {
 		s.stats.LiveBytes += recordSize(len(p.req.key), len(p.req.val))
 		s.stats.Puts++
 	}
-	s.active.size += int64(len(buf))
+	s.active.size += size
 	rotate := s.active.size >= s.opts.MaxSegmentBytes
 	var err error
 	if rotate {
@@ -743,10 +763,10 @@ func (s *Store) compact() error {
 		}
 		return live[i].loc.off < live[j].loc.off
 	})
+	keep := s.stats.LiveBytes
 	if s.opts.MaxBytes > 0 {
-		total := s.stats.LiveBytes
-		for len(live) > 0 && total > s.opts.MaxBytes {
-			total -= recordSize(int(live[0].loc.klen), int(live[0].loc.vlen))
+		for len(live) > 0 && keep > s.opts.MaxBytes {
+			keep -= recordSize(int(live[0].loc.klen), int(live[0].loc.vlen))
 			s.stats.Evicted++
 			live = live[1:]
 		}
@@ -759,18 +779,23 @@ func (s *Store) compact() error {
 	if err != nil {
 		return fmt.Errorf("store: compact: %w", err)
 	}
-	buf := appendHeader(nil, s.opts.Fingerprint)
+	// Records move verbatim: each is read into one reused buffer, its
+	// checksum verified, and appended to a segment image sized from the
+	// live bytes it keeps.
+	buf := appendHeader(make([]byte, 0, headerLen+keep), s.opts.Fingerprint)
 	newIndex := make(map[string]location, len(live))
 	var liveBytes int64
+	var rec []byte
 	for _, r := range live {
-		val, err := readValue(s.segs[r.loc.seg].f, r.loc)
+		got, err := readRecord(s.segs[r.loc.seg].f, r.loc, rec)
 		if err != nil {
-			atomic.AddUint64(&s.stats.ReadErrors, 1)
+			s.readErrors.Add(1)
 			continue
 		}
-		newIndex[r.key] = location{seg: id, off: int64(len(buf)), klen: r.loc.klen, vlen: uint32(len(val))}
-		buf = appendRecord(buf, []byte(r.key), val)
-		liveBytes += recordSize(len(r.key), len(val))
+		rec = got
+		newIndex[r.key] = location{seg: id, off: int64(len(buf)), klen: r.loc.klen, vlen: r.loc.vlen}
+		buf = append(buf, rec...)
+		liveBytes += int64(len(rec))
 	}
 	if _, err := f.Write(buf); err != nil {
 		f.Close()
@@ -820,10 +845,10 @@ func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	st := s.stats
-	st.Gets = atomic.LoadUint64(&s.stats.Gets)
-	st.GetHits = atomic.LoadUint64(&s.stats.GetHits)
-	st.ReadErrors = atomic.LoadUint64(&s.stats.ReadErrors)
-	st.DroppedPuts = atomic.LoadUint64(&s.stats.DroppedPuts)
+	st.Gets = s.gets.Load()
+	st.GetHits = s.getHits.Load()
+	st.ReadErrors = s.readErrors.Load()
+	st.DroppedPuts = s.droppedPuts.Load()
 	st.Segments = len(s.segs)
 	st.Healthy = !s.failed
 	if s.lastErr != nil {

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -466,6 +467,41 @@ func TestConcurrentPutGet(t *testing.T) {
 		if got, ok := s.Get(testKey(i)); !ok || !bytes.Equal(got, testVal(i)) {
 			t.Fatalf("Get(%s) after concurrent load: ok=%v", testKey(i), ok)
 		}
+	}
+}
+
+// TestConcurrentStats runs Get, Put, Stats and Sync from several
+// goroutines at once, as mixpd does when /healthz and /cachediag read
+// Stats while campaigns use the store. Get and Put count without the
+// store's lock, so under -race this checks that Stats reads those
+// counters atomically; the totals must also add up.
+func TestConcurrentStats(t *testing.T) {
+	s := openTest(t, t.TempDir(), Options{})
+	defer s.Close()
+	const workers, n = 4, 100
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				k := w*n + i
+				s.Put(testKey(k), testVal(k))
+				s.Get(testKey(k))
+				s.Stats()
+				if i%25 == 24 {
+					if err := s.Sync(); err != nil {
+						t.Errorf("Sync: %v", err)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	mustSync(t, s)
+	st := s.Stats()
+	if st.Gets != workers*n || st.Puts != workers*n || st.Records != workers*n || st.DroppedPuts != 0 || st.ReadErrors != 0 {
+		t.Fatalf("stats after %d concurrent Put/Get pairs: %+v", workers*n, st)
 	}
 }
 

@@ -126,6 +126,8 @@ func NewRunCache(tel *Telemetry) *RunCache { return bench.NewCache(tel) }
 // still charge the simulated build and run time).
 type (
 	// ResultStore is the disk-backed, content-addressed result store.
+	// Its Put takes ownership of the key and value slices without
+	// copying them: the caller must not modify either afterwards.
 	ResultStore = store.Store
 	// ResultStoreOptions configures a custom store open (fingerprint,
 	// read-only mode, segment sizing, eviction budget) via store.Open;
