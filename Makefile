@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race verify lint lint-report cover tables bench bench-smoke trace-smoke store-smoke fuzz-smoke
+.PHONY: build test race verify lint lint-report cover tables tables-check bench bench-smoke trace-smoke store-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -50,6 +50,22 @@ cover:
 
 tables:
 	$(GO) run ./cmd/mptables
+
+# tables-check runs the full study into a fresh temporary directory
+# (mptables -out does not create one) and byte-compares all nine files it
+# writes with the committed artifacts/: the lock on Tables IV and V and
+# Figures 2a, 2b and 3, which the kernels-only go test never runs. It
+# reports every file that differs. The study takes 45-49 s on a 2-core
+# machine, so it runs here and in CI rather than in go test.
+TABLE_ARTIFACTS = table1.txt table2.txt table3.txt table4.txt table5.txt \
+	figure2a.csv figure2b.csv figure3.csv comparison.md
+tables-check:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) run ./cmd/mptables -out "$$dir" > /dev/null && \
+	status=0 && \
+	for f in $(TABLE_ARTIFACTS); do cmp "$$dir/$$f" "artifacts/$$f" || status=1; done && \
+	if [ $$status -ne 0 ]; then echo "tables-check: artifacts/ differs from a fresh study"; exit 1; fi && \
+	echo "tables-check: all nine artifacts match artifacts/"
 
 # bench runs the benchmark module (benchmark/, BENCHMARK.json) as a set:
 # every workload 3 times (seeds 42, 43, 44) with 20 s timed phases. It
@@ -113,3 +129,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzReadArchive$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime=10s ./internal/faults
+	$(GO) test -run '^$$' -fuzz '^FuzzReadSpace$$' -fuzztime=10s ./internal/interchange
+	$(GO) test -run '^$$' -fuzz '^FuzzReadConfig$$' -fuzztime=10s ./internal/interchange

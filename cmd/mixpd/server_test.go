@@ -482,10 +482,12 @@ func TestServerBackpressure(t *testing.T) {
 	}
 }
 
-// TestServerErrors covers the 4xx paths.
+// TestServerErrors covers the 4xx paths, and checks that a refused
+// submission changes no state the engine serves or archives.
 func TestServerErrors(t *testing.T) {
 	// With a history directory /healthz also reports archive durability.
-	eng := engine.New(engine.Options{HistoryDir: t.TempDir()})
+	hist := t.TempDir()
+	eng := engine.New(engine.Options{HistoryDir: hist})
 	defer eng.Close()
 	ts := httptest.NewServer(newServer(eng, serverOptions{}))
 	defer ts.Close()
@@ -501,44 +503,45 @@ func TestServerErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("cancel unknown campaign: status %d, want 404", resp.StatusCode)
 	}
-	resp, err = http.Post(ts.URL+"/campaigns", "application/yaml", strings.NewReader("not: [valid"))
-	if err != nil {
-		t.Fatal(err)
+
+	// Each refused submission must leave the engine as it found it: no
+	// campaign listed, no archive written and /healthz ok. No refusal
+	// may consume a campaign ID either, so the first valid submission
+	// after all of them is c0001.
+	for _, c := range []struct {
+		name, query, body string
+		code              int
+	}{
+		{"bad YAML", "", "not: [valid", http.StatusBadRequest},
+		{"negative workers", "?workers=-1", campaignYAML, http.StatusBadRequest},
+		// A NaN threshold passes every range check; accepted, it reached
+		// the results and history archive as a value JSON cannot encode.
+		{"NaN threshold", "", strings.Replace(campaignYAML, "threshold: 1e-3", "threshold: nan", 1), http.StatusBadRequest},
+		{"oversized body", "", strings.Repeat("#", maxCampaignBytes+2), http.StatusRequestEntityTooLarge},
+	} {
+		resp, err := http.Post(ts.URL+"/campaigns"+c.query, "application/yaml", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.code {
+			t.Errorf("%s: status %d, want %d", c.name, resp.StatusCode, c.code)
+		}
+		var listed []engine.Status
+		if code := getJSON(t, ts.URL+"/campaigns", &listed); code != http.StatusOK || len(listed) != 0 {
+			t.Errorf("%s: GET /campaigns answered %d listing %d campaigns, want 200 and none", c.name, code, len(listed))
+		}
+		if archives, err := os.ReadDir(hist); err != nil || len(archives) != 0 {
+			t.Errorf("%s: history directory holds %d entries (%v), want none", c.name, len(archives), err)
+		}
+		if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
+			t.Errorf("%s: healthz: status %d", c.name, code)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad YAML: status %d, want 400", resp.StatusCode)
-	}
-	resp, err = http.Post(ts.URL+"/campaigns?workers=-1", "application/yaml", strings.NewReader(campaignYAML))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("negative workers: status %d, want 400", resp.StatusCode)
-	}
-	// A NaN threshold passes every range check; accepted, it reached the
-	// results and history archive as a value JSON cannot encode.
-	nan := strings.Replace(campaignYAML, "threshold: 1e-3", "threshold: nan", 1)
-	resp, err = http.Post(ts.URL+"/campaigns", "application/yaml", strings.NewReader(nan))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("NaN threshold: status %d, want 400", resp.StatusCode)
-	}
-	big := strings.Repeat("#", maxCampaignBytes+2)
-	resp, err = http.Post(ts.URL+"/campaigns", "application/yaml", strings.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversized body: status %d, want 413", resp.StatusCode)
-	}
-	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
-		t.Errorf("healthz: status %d", code)
+	if st := postCampaign(t, ts, ""); st.ID != "c0001" {
+		t.Errorf("first valid submission after the refusals is %s, want c0001", st.ID)
+	} else {
+		waitDone(t, ts, st.ID)
 	}
 }
 

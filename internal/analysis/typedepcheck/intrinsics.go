@@ -114,7 +114,7 @@ func (ra *runAnalyzer) walkArrayCall(call *ast.CallExpr, sel *ast.SelectorExpr) 
 		out := newERes()
 		out.taints.addSet(recv.arrays)
 		return out
-	case "GetN", "Snapshot", "Len", "Prec":
+	case "GetN", "Snapshot", "SnapshotInto", "Len", "Prec":
 		for _, a := range call.Args {
 			ra.walkExpr(a)
 		}

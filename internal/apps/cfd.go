@@ -184,9 +184,9 @@ func (c *cfd) Run(t *mp.Tape, seed int64) bench.Output {
 		t.AddCasts(2 * work)
 	}
 
-	out := make([]float64, 0, 3*n)
-	out = append(out, rho.Snapshot()...)
-	out = append(out, mom.Snapshot()...)
-	out = append(out, ene.Snapshot()...)
+	out := make([]float64, 3*n)
+	rho.SnapshotInto(out[:n], 0)
+	mom.SnapshotInto(out[n:2*n], 0)
+	ene.SnapshotInto(out[2*n:], 0)
 	return bench.Output{Values: out}
 }

@@ -17,6 +17,7 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/compile"
 	"repro/internal/mp"
@@ -344,16 +345,25 @@ func (r *Runner) execute(b Benchmark, sem runcache.Semantics, name string, cfg C
 		r.Cache.record(ek, cfg, reads, ex)
 	}
 	modelTime := r.Machine.Time(ex.cost)
-	rng := rand.New(rand.NewSource(r.jitterSeed(name, cfg)))
+	rng := jitterRands.Get().(*rand.Rand)
+	rng.Seed(r.jitterSeed(name, cfg))
+	measured := perfmodel.Measure(modelTime, r.Runs, rng)
+	jitterRands.Put(rng)
 	return Result{
 		Output:    ex.output,
 		Cost:      ex.cost,
 		Profile:   ex.profile,
 		ModelTime: modelTime,
 		Energy:    r.Machine.Energy(ex.cost),
-		Measured:  perfmodel.Measure(modelTime, r.Runs, rng),
+		Measured:  measured,
 	}
 }
+
+// jitterRands recycles the measurement jitter generators. Seed resets a
+// recycled generator to exactly the state rand.New(rand.NewSource(seed))
+// starts in, so its draws are those of a fresh one, without allocating
+// and seeding a new source (about 4.9 KB) per execution.
+var jitterRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
 // Run evaluates one configuration. A nil cfg runs the original program. The
 // measurement jitter stream is derived from the workload seed and the

@@ -1,11 +1,15 @@
 package bench
 
 import (
+	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/mp"
+	"repro/internal/perfmodel"
+	"repro/internal/runcache"
 	"repro/internal/telemetry"
 	"repro/internal/typedep"
 	"repro/internal/verify"
@@ -248,4 +252,40 @@ func FuzzParseKey(f *testing.F) {
 			t.Fatalf("ParseKey(%q) = %v, key %q parses back to %v", s, c, c.Key(), back)
 		}
 	})
+}
+
+// TestPooledJitterMatchesFresh checks that an execution's Measured,
+// drawn from a recycled jitter generator, equals what a fresh
+// rand.New(rand.NewSource(seed)) gives, over many (name, cfg) seeds.
+// The runners draw 3 to 6 samples each from four goroutines at once, so
+// generators go back to the pool at different stream positions and move
+// between goroutines; run it under -race.
+func TestPooledJitterMatchesFresh(t *testing.T) {
+	b := newStub(0)
+	precs := []mp.Prec{mp.F64, mp.F32, mp.F16, mp.BF16}
+	cfgs := []Config{nil}
+	for _, p := range precs {
+		for _, q := range precs {
+			cfgs = append(cfgs, Config{p, q})
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := NewRunner(int64(40 + g))
+			r.Runs = 3 + g
+			for _, name := range []string{"stub", "stub/ir", "hydro-1d"} {
+				for _, cfg := range cfgs {
+					res := r.execute(b, runcache.Source, name, cfg)
+					want := perfmodel.Measure(res.ModelTime, r.Runs, rand.New(rand.NewSource(r.jitterSeed(name, cfg))))
+					if res.Measured != want {
+						t.Errorf("runner %d, %s %q: pooled generator measured %+v, fresh %+v", g, name, cfg.Key(), res.Measured, want)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

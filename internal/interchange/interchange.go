@@ -86,14 +86,18 @@ func WriteSpace(w io.Writer, b bench.Benchmark) error {
 	return enc.Encode(ExportSpace(b))
 }
 
-// Validate checks a space document's internal consistency: version,
-// cluster partition, and ID density.
+// Validate checks a space document's internal consistency: version, ID
+// density, variable kinds and names, and the cluster partition. A
+// document it accepts always builds a Graph.
 func (d SpaceDoc) Validate() error {
 	if d.Version != FormatVersion {
 		return fmt.Errorf("interchange: unsupported version %d (want %d)", d.Version, FormatVersion)
 	}
 	n := len(d.Variables)
 	seen := make([]bool, n)
+	// names declares the variables as Graph will: a typedep.Graph refuses
+	// a second variable under one (unit, name) key.
+	names := typedep.NewGraph()
 	for i, v := range d.Variables {
 		if v.ID < 0 || v.ID >= n {
 			return fmt.Errorf("interchange: variable %d has out-of-range id %d", i, v.ID)
@@ -102,6 +106,14 @@ func (d SpaceDoc) Validate() error {
 			return fmt.Errorf("interchange: duplicate variable id %d", v.ID)
 		}
 		seen[v.ID] = true
+		kind, err := parseKind(v.Kind)
+		if err != nil {
+			return err
+		}
+		if _, dup := names.Lookup(v.Name, v.Unit); dup {
+			return fmt.Errorf("interchange: variable %d duplicates the name %s::%s", v.ID, v.Unit, v.Name)
+		}
+		names.Add(v.Name, v.Unit, kind)
 	}
 	covered := make([]bool, n)
 	for ci, members := range d.Clusters {
@@ -153,10 +165,7 @@ func (d SpaceDoc) Graph() (*typedep.Graph, error) {
 		byID[v.ID] = v
 	}
 	for _, v := range byID {
-		kind, err := parseKind(v.Kind)
-		if err != nil {
-			return nil, err
-		}
+		kind, _ := parseKind(v.Kind) // Validate accepted every kind
 		g.Add(v.Name, v.Unit, kind)
 	}
 	for _, members := range d.Clusters {

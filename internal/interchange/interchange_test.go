@@ -79,6 +79,12 @@ func TestSpaceValidation(t *testing.T) {
 		"uncovered":         func(d *SpaceDoc) { d.Clusters = [][]int{{0}} },
 		"bad cluster index": func(d *SpaceDoc) { d.Variables[0].Cluster = 5 },
 		"wrong cluster":     func(d *SpaceDoc) { d.Variables[0].Cluster = 1; d.Variables[1].Cluster = 0 },
+		"dup name":          func(d *SpaceDoc) { d.Variables[1].Name, d.Variables[1].Unit = d.Variables[0].Name, d.Variables[0].Unit },
+		"unit::name clash": func(d *SpaceDoc) {
+			d.Variables[0].Name, d.Variables[0].Unit = "c", "a::b"
+			d.Variables[1].Name, d.Variables[1].Unit = "b::c", "a"
+		},
+		"unknown kind": func(d *SpaceDoc) { d.Variables[1].Kind = "tensor" },
 	}
 	for name, mutate := range cases {
 		d := base()

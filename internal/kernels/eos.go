@@ -83,5 +83,7 @@ func (k *eos) Run(t *mp.Tape, seed int64) bench.Output {
 	if arrP != sclP {
 		t.AddCasts(eosN * eosReps)
 	}
-	return bench.Output{Values: x.Snapshot()[:eosN]}
+	out := make([]float64, eosN)
+	x.SnapshotInto(out, 0)
+	return bench.Output{Values: out}
 }

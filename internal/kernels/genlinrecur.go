@@ -71,6 +71,8 @@ func (k *genLinRecur) Run(t *mp.Tape, seed int64) bench.Output {
 		}
 	}
 	t.AddFlops(t.Prec(k.vW), 2*elems)
-	out := w.Snapshot()
-	return bench.Output{Values: append(out, s)}
+	out := make([]float64, glrN+1)
+	w.SnapshotInto(out[:glrN], 0)
+	out[glrN] = s
+	return bench.Output{Values: out}
 }

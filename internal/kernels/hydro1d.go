@@ -77,5 +77,7 @@ func (k *hydro1d) Run(t *mp.Tape, seed int64) bench.Output {
 		// One conversion per element store at the precision boundary.
 		t.AddCasts(hydroN * hydroReps)
 	}
-	return bench.Output{Values: x.Snapshot()[:hydroN]}
+	out := make([]float64, hydroN)
+	x.SnapshotInto(out, 0)
+	return bench.Output{Values: out}
 }

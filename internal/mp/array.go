@@ -108,7 +108,10 @@ func (a *Array) SetN(lo int, src []float64) {
 // traffic - exactly equivalent to one Set per element. It is the bulk
 // form benchmark initialisation loops use: f typically draws from a
 // seeded RNG, and the index-order guarantee keeps the value stream
-// identical to the element-wise loop it replaces.
+// identical to the element-wise loop it replaces. While a tape records
+// its input stream, SetEach keeps the pre-rounding values, and a fill
+// equal bit for bit to an earlier one of the run shares that fill's
+// recorded slice; replay only reads recorded slices (see Stream).
 func (a *Array) SetEach(f func(i int) float64) {
 	a.charge(uint64(len(a.data)))
 	t := a.tape
@@ -133,6 +136,13 @@ func (a *Array) Snapshot() []float64 {
 	out := make([]float64, len(a.data))
 	copy(out, a.data)
 	return out
+}
+
+// SnapshotInto copies elements [lo, lo+len(dst)) into dst without
+// charging traffic: the ranged form of Snapshot, for an output that is
+// part of a buffer or spans several, built in one allocation.
+func (a *Array) SnapshotInto(dst []float64, lo int) {
+	copy(dst, a.data[lo:lo+len(dst)])
 }
 
 // charge records n elements of traffic, deferred to the next flush.

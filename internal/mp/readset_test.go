@@ -61,16 +61,17 @@ var readCases = map[string]struct {
 
 	// An Array caches its variable's precision at NewArray, which marks
 	// the variable; no accessor may reach any other site.
-	"Array.Fill":     {func(t *Tape) { t.NewArray(1, 4).Fill(0.1) }, []VarID{1}},
-	"Array.Get":      {func(t *Tape) { t.NewArray(1, 4).Get(2) }, []VarID{1}},
-	"Array.GetN":     {func(t *Tape) { t.NewArray(1, 4).GetN(1, make([]float64, 2)) }, []VarID{1}},
-	"Array.Len":      {func(t *Tape) { t.NewArray(1, 4).Len() }, []VarID{1}},
-	"Array.Prec":     {func(t *Tape) { t.NewArray(1, 4).Prec() }, []VarID{1}},
-	"Array.Set":      {func(t *Tape) { t.NewArray(1, 4).Set(0, 0.1) }, []VarID{1}},
-	"Array.SetEach":  {func(t *Tape) { t.NewArray(1, 4).SetEach(func(i int) float64 { return float64(i) / 3 }) }, []VarID{1}},
-	"Array.SetN":     {func(t *Tape) { t.NewArray(1, 4).SetN(1, []float64{0.1, 0.2}) }, []VarID{1}},
-	"Array.Snapshot": {func(t *Tape) { t.NewArray(1, 4).Snapshot() }, []VarID{1}},
-	"Array.Var":      {func(t *Tape) { t.NewArray(1, 4).Var() }, []VarID{1}},
+	"Array.Fill":         {func(t *Tape) { t.NewArray(1, 4).Fill(0.1) }, []VarID{1}},
+	"Array.Get":          {func(t *Tape) { t.NewArray(1, 4).Get(2) }, []VarID{1}},
+	"Array.GetN":         {func(t *Tape) { t.NewArray(1, 4).GetN(1, make([]float64, 2)) }, []VarID{1}},
+	"Array.Len":          {func(t *Tape) { t.NewArray(1, 4).Len() }, []VarID{1}},
+	"Array.Prec":         {func(t *Tape) { t.NewArray(1, 4).Prec() }, []VarID{1}},
+	"Array.Set":          {func(t *Tape) { t.NewArray(1, 4).Set(0, 0.1) }, []VarID{1}},
+	"Array.SetEach":      {func(t *Tape) { t.NewArray(1, 4).SetEach(func(i int) float64 { return float64(i) / 3 }) }, []VarID{1}},
+	"Array.SetN":         {func(t *Tape) { t.NewArray(1, 4).SetN(1, []float64{0.1, 0.2}) }, []VarID{1}},
+	"Array.Snapshot":     {func(t *Tape) { t.NewArray(1, 4).Snapshot() }, []VarID{1}},
+	"Array.SnapshotInto": {func(t *Tape) { t.NewArray(1, 4).SnapshotInto(make([]float64, 2), 1) }, []VarID{1}},
+	"Array.Var":          {func(t *Tape) { t.NewArray(1, 4).Var() }, []VarID{1}},
 
 	"ReadInto": {func(t *Tape) {
 		var buf bytes.Buffer

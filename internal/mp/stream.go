@@ -2,6 +2,7 @@ package mp
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -20,13 +21,18 @@ import (
 // live run makes next after a fill is exactly the next recorded one. The
 // replayed values are bit-identical to a live run by construction: they
 // are the very values the live run produced, captured before rounding.
+// A fill whose values equal an earlier fill's bit for bit (a port that
+// re-creates one generator per repetition refills with the same values)
+// shares that fill's recorded slice, so a stream holds each distinct
+// fill once.
 //
 // A Stream is immutable once recorded and safe for concurrent replay;
-// per-run replay state lives on the tape.
+// per-run replay state lives on the tape. Its recorded slices are
+// read-only: several fills may share one, and every replay reads it.
 type Stream struct {
 	seeds []int64     // seed of each generator, in creation order
 	draws [][]uint64  // raw Source64 outputs per generator outside fills, in draw order
-	fills [][]float64 // pre-rounding f(i) outputs of every SetEach, in call order
+	fills [][]float64 // pre-rounding f(i) outputs of every SetEach, in call order; equal fills share one slice
 }
 
 // Rand returns the seeded generator benchmark Run bodies draw their
@@ -76,10 +82,13 @@ func (t *Tape) Replay(s *Stream) {
 // streamRecorder captures a run's bulk fills and the generator outputs
 // drawn outside them. filling is set while a SetEach runs: its closure's
 // draws are covered by the recorded values, so the sources skip them.
+// scratch collects the pre-rounding values of a fill into an array
+// narrower than F64.
 type streamRecorder struct {
 	seeds   []int64
 	srcs    []*recordSource
 	fills   [][]float64
+	scratch []float64
 	filling bool
 	broken  bool
 }
@@ -101,17 +110,58 @@ func (r *streamRecorder) source(seed int64) rand.Source {
 }
 
 // fill captures one SetEach: it stores f(i) through the array exactly as
-// the live loop would while keeping the pre-rounding values.
+// the live loop would while keeping the pre-rounding values. An F64
+// array's data are those values; any other precision collects them in
+// the reused scratch buffer.
 func (r *streamRecorder) fill(a *Array, p Prec, f func(i int) float64) {
-	vals := make([]float64, len(a.data))
+	vals := a.data
 	r.filling = true
-	for i := range a.data {
-		x := f(i)
-		vals[i] = x
-		a.data[i] = p.Round(x)
+	if p == F64 {
+		for i := range a.data {
+			a.data[i] = f(i)
+		}
+	} else {
+		if cap(r.scratch) < len(a.data) {
+			r.scratch = make([]float64, len(a.data))
+		}
+		vals = r.scratch[:len(a.data)]
+		for i := range a.data {
+			x := f(i)
+			vals[i] = x
+			a.data[i] = p.Round(x)
+		}
 	}
 	r.filling = false
-	r.fills = append(r.fills, vals)
+	r.fills = append(r.fills, r.intern(vals))
+}
+
+// intern returns the earlier fill whose values equal vals bit for bit,
+// or a new copy of vals when there is none. Comparing bits keeps -0 and
+// +0 apart, and each NaN payload apart from every other. The search runs
+// from the latest fill back, since a repeated fill most often repeats
+// the one before; a mismatch usually shows at the first element.
+func (r *streamRecorder) intern(vals []float64) []float64 {
+	for k := len(r.fills) - 1; k >= 0; k-- {
+		if prev := r.fills[k]; sameBits(prev, vals) {
+			return prev
+		}
+	}
+	own := make([]float64, len(vals))
+	copy(own, vals)
+	return own
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, x := range a {
+		if math.Float64bits(x) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // recordSource captures the outputs of the underlying seeded source drawn
