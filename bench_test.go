@@ -18,6 +18,7 @@ import (
 
 	mixpbench "repro"
 	"repro/internal/bench"
+	"repro/internal/harness"
 	"repro/internal/perfmodel"
 	"repro/internal/report"
 	"repro/internal/search"
@@ -69,8 +70,14 @@ func BenchmarkTableII(b *testing.B) {
 }
 
 // BenchmarkTableIII regenerates the kernel study (10 kernels x 6
-// algorithms at threshold 1e-8) and reports the banded-lin-eq speedup -
-// the paper's strongest kernel result.
+// algorithms at threshold 1e-8) with the study-wide run cache, so the 60
+// jobs execute each distinct (kernel, configuration) once between them.
+// It reports the banded-lin-eq speedup - the paper's strongest kernel
+// result - and hydro-1d's DD speedup, the headline the campaign
+// benchmarks share. Compare against BenchmarkCampaignColdCache for the
+// cache's wall-clock effect; both produce byte-identical reports (locked
+// by harness.TestSchedulerCacheDeterministic). It is also the two-rung
+// side of the ladder-depth pair; see BenchmarkCampaignLadder3.
 func BenchmarkTableIII(b *testing.B) {
 	var study *report.Study
 	for i := 0; i < b.N; i++ {
@@ -78,21 +85,29 @@ func BenchmarkTableIII(b *testing.B) {
 	}
 	b.ReportMetric(study.Kernel["banded-lin-eq"]["DD"].Speedup, "banded-DD-speedup")
 	b.ReportMetric(study.Kernel["iccg"]["CB"].Speedup, "iccg-CB-speedup")
+	b.ReportMetric(study.Kernel["hydro-1d"]["DD"].Speedup, "hydro-DD-speedup")
 }
 
-// BenchmarkCampaignSharedCache measures the kernel campaign with the
-// study-wide run cache (the default): the 60 jobs execute each distinct
-// (kernel, configuration) once between them. Compare against
-// BenchmarkCampaignColdCache for the cache's wall-clock effect; both
-// produce byte-identical studies (locked by
-// harness.TestSchedulerCacheDeterministic). It is also the two-rung side
-// of the ladder-depth pair; see BenchmarkCampaignLadder3.
-func BenchmarkCampaignSharedCache(b *testing.B) {
-	var study *report.Study
-	for i := 0; i < b.N; i++ {
-		study = report.Run(report.Options{Workers: 2, KernelsOnly: true})
+// kernelCampaign runs Table III's campaign entries through the library's
+// campaign path with the given options, on two workers at the study seed,
+// and returns hydro-1d's DD speedup.
+func kernelCampaign(b *testing.B, opts harness.CampaignOptions) float64 {
+	b.Helper()
+	opts.Workers, opts.Seed = 2, report.Seed
+	results, err := harness.RunCampaign(report.KernelSpecs(), opts)
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ReportMetric(study.Kernel["hydro-1d"]["DD"].Speedup, "hydro-DD-speedup")
+	speedup := math.NaN()
+	for _, jr := range results {
+		if jr.Err != nil {
+			b.Fatal(jr.Err)
+		}
+		if jr.Report.Benchmark == "hydro-1d" && jr.Report.Algorithm == "DD" {
+			speedup = jr.Report.Speedup
+		}
+	}
+	return speedup
 }
 
 // BenchmarkCampaignColdCache measures the same kernel campaign with
@@ -102,25 +117,25 @@ func BenchmarkCampaignSharedCache(b *testing.B) {
 // tracks for the evaluation path.
 func BenchmarkCampaignColdCache(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		report.Run(report.Options{Workers: 2, KernelsOnly: true, NoCache: true})
+		kernelCampaign(b, harness.CampaignOptions{NoCache: true})
 	}
 }
 
 // BenchmarkCampaignLadder3 is the three-rung side of the ladder-depth
 // pair: the same kernel campaign (60 jobs, shared run cache) as
-// BenchmarkCampaignSharedCache, its two-rung side, over the f64,f32,bf16
-// ladder instead of the paper's double/single axis. The ratio of their
-// ns/op is the campaign-level price of one extra rung - every strategy
-// re-runs its deepening stage per rung, so the search space grows from
-// 2^loc to 3^loc while memoisation keeps the paid evaluations far below
-// that. Pin -benchtime (e.g. -benchtime=5x) so both sides measure the
-// same amount of work.
+// BenchmarkTableIII, its two-rung side, over the f64,f32,bf16 ladder
+// instead of the paper's double/single axis. The ratio of their ns/op is
+// the campaign-level price of one extra rung - every strategy re-runs
+// its deepening stage per rung, so the search space grows from 2^loc to
+// 3^loc while memoisation keeps the paid evaluations far below that. Pin
+// -benchtime (e.g. -benchtime=5x) so both sides measure the same amount
+// of work.
 func BenchmarkCampaignLadder3(b *testing.B) {
-	var study *report.Study
+	var speedup float64
 	for i := 0; i < b.N; i++ {
-		study = report.Run(report.Options{Workers: 2, KernelsOnly: true, Precisions: "f64,f32,bf16"})
+		speedup = kernelCampaign(b, harness.CampaignOptions{Precisions: "f64,f32,bf16"})
 	}
-	b.ReportMetric(study.Kernel["hydro-1d"]["DD"].Speedup, "hydro-DD-speedup")
+	b.ReportMetric(speedup, "hydro-DD-speedup")
 }
 
 // BenchmarkTableIV regenerates the manual whole-program conversion study

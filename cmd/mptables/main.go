@@ -2,7 +2,8 @@
 // evaluation section: Table I (kernel inventory), Table II (Typeforge
 // complexity), Table III (kernel study), Table IV (manual single
 // conversion), Table V (application study at three thresholds), and
-// Figures 2a, 2b, and 3 (as CSV plus ASCII scatter plots).
+// Figures 2a, 2b, and 3 (as CSV plus ASCII scatter plots). Tables III and
+// V are one campaign; stderr gets a line per finished job.
 //
 // Usage:
 //

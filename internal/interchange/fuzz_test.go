@@ -11,13 +11,14 @@ import (
 )
 
 // FuzzReadSpace checks the space-document reader on arbitrary bytes:
-// ReadSpace never panics, every document it accepts builds a Graph with
-// one variable per entry and one type-change set per listed cluster, and
-// the document reads back equal after it is encoded again. The seed
-// corpus under testdata/fuzz holds a hand-written document, documents
-// that differ from it in one field, and the duplicate-name document
-// whose Graph call used to panic; every port's exported space is added
-// here.
+// ReadSpace never panics, every input it accepts is one valid JSON value
+// (nothing follows the document), every document it accepts builds a
+// Graph with one variable per entry and one type-change set per listed
+// cluster, and the document reads back equal after it is encoded again.
+// The seed corpus under testdata/fuzz holds a hand-written document,
+// documents that differ from it in one field, the duplicate-name
+// document whose Graph call used to panic, and documents followed by
+// stray bytes; every port's exported space is added here.
 func FuzzReadSpace(f *testing.F) {
 	for _, b := range suite.All() {
 		var buf bytes.Buffer
@@ -30,6 +31,9 @@ func FuzzReadSpace(f *testing.F) {
 		doc, err := ReadSpace(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("accepted %q, which is not one JSON value", data)
 		}
 		g, err := doc.Graph()
 		if err != nil {
@@ -54,8 +58,9 @@ func FuzzReadSpace(f *testing.F) {
 }
 
 // FuzzReadConfig checks the configuration-document reader on arbitrary
-// bytes and a program size: ReadConfig never panics, an accepted
-// document reads back equal after it is encoded again, and when Config
+// bytes and a program size: ReadConfig never panics, every input it
+// accepts is one valid JSON value, an accepted document reads back equal
+// after it is encoded again, and when Config
 // accepts it for n variables, the configuration demotes exactly the
 // listed variables, so exporting it lists them once each, in order.
 func FuzzReadConfig(f *testing.F) {
@@ -63,6 +68,9 @@ func FuzzReadConfig(f *testing.F) {
 		doc, err := ReadConfig(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("accepted %q, which is not one JSON value", data)
 		}
 		enc, err := json.Marshal(doc)
 		if err != nil {

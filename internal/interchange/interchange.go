@@ -16,6 +16,7 @@ package interchange
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -287,11 +288,15 @@ func WriteReports(w io.Writer, reports []harness.Report) error {
 	return enc.Encode(docs)
 }
 
-// ReadSpace parses a space document.
+// ReadSpace parses a space document and refuses any data after it.
 func ReadSpace(r io.Reader) (SpaceDoc, error) {
 	var doc SpaceDoc
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&doc); err != nil {
 		return SpaceDoc{}, fmt.Errorf("interchange: decoding space: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return SpaceDoc{}, errors.New("interchange: decoding space: data after the document")
 	}
 	if err := doc.Validate(); err != nil {
 		return SpaceDoc{}, err
@@ -299,11 +304,15 @@ func ReadSpace(r io.Reader) (SpaceDoc, error) {
 	return doc, nil
 }
 
-// ReadConfig parses a configuration document.
+// ReadConfig parses a configuration document and refuses any data after it.
 func ReadConfig(r io.Reader) (ConfigDoc, error) {
 	var doc ConfigDoc
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&doc); err != nil {
 		return ConfigDoc{}, fmt.Errorf("interchange: decoding config: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return ConfigDoc{}, errors.New("interchange: decoding config: data after the document")
 	}
 	return doc, nil
 }

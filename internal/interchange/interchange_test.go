@@ -80,11 +80,7 @@ func TestSpaceValidation(t *testing.T) {
 		"bad cluster index": func(d *SpaceDoc) { d.Variables[0].Cluster = 5 },
 		"wrong cluster":     func(d *SpaceDoc) { d.Variables[0].Cluster = 1; d.Variables[1].Cluster = 0 },
 		"dup name":          func(d *SpaceDoc) { d.Variables[1].Name, d.Variables[1].Unit = d.Variables[0].Name, d.Variables[0].Unit },
-		"unit::name clash": func(d *SpaceDoc) {
-			d.Variables[0].Name, d.Variables[0].Unit = "c", "a::b"
-			d.Variables[1].Name, d.Variables[1].Unit = "b::c", "a"
-		},
-		"unknown kind": func(d *SpaceDoc) { d.Variables[1].Kind = "tensor" },
+		"unknown kind":      func(d *SpaceDoc) { d.Variables[1].Kind = "tensor" },
 	}
 	for name, mutate := range cases {
 		d := base()
@@ -92,6 +88,49 @@ func TestSpaceValidation(t *testing.T) {
 		if err := d.Validate(); err == nil {
 			t.Errorf("%s: expected validation error", name)
 		}
+	}
+
+	// Names may contain "::": unit "a::b" with name "c" and unit "a" with
+	// name "b::c" are two distinct variables, so the document is valid and
+	// builds a graph holding both.
+	d := base()
+	d.Variables[0].Name, d.Variables[0].Unit = "c", "a::b"
+	d.Variables[1].Name, d.Variables[1].Unit = "b::c", "a"
+	g, err := d.Graph()
+	if err != nil {
+		t.Fatalf("unit::name lookalikes refused: %v", err)
+	}
+	first, ok0 := g.Lookup("c", "a::b")
+	second, ok1 := g.Lookup("b::c", "a")
+	if !ok0 || !ok1 || first == second {
+		t.Errorf("lookalikes resolve to %d (%v) and %d (%v), want two distinct variables", first, ok0, second, ok1)
+	}
+}
+
+// TestReadRefusesTrailingData checks that each reader takes exactly one
+// document: bytes after it, other than white space, are refused.
+func TestReadRefusesTrailingData(t *testing.T) {
+	space := `{"version":1}`
+	config := `{"version":1,"benchmark":"x","single":[0]}`
+	for name, tail := range map[string]string{
+		"trailing garbage": " trailing garbage",
+		"two documents":    `{"version":2}`,
+		"stray bracket":    "]",
+		"stray brace":      "}",
+		"second value":     " 1",
+	} {
+		if _, err := ReadSpace(strings.NewReader(space + tail)); err == nil {
+			t.Errorf("ReadSpace accepted a document followed by %s", name)
+		}
+		if _, err := ReadConfig(strings.NewReader(config + tail)); err == nil {
+			t.Errorf("ReadConfig accepted a document followed by %s", name)
+		}
+	}
+	if _, err := ReadSpace(strings.NewReader(space + " \n\t\r\n")); err != nil {
+		t.Errorf("ReadSpace refused trailing white space: %v", err)
+	}
+	if _, err := ReadConfig(strings.NewReader(config + "\n")); err != nil {
+		t.Errorf("ReadConfig refused a trailing newline: %v", err)
 	}
 }
 

@@ -9,11 +9,14 @@
 package report
 
 import (
+	"fmt"
 	"math"
+	"strings"
+	"sync"
 
 	"repro/internal/bench"
+	"repro/internal/compile"
 	"repro/internal/harness"
-	"repro/internal/mp"
 	"repro/internal/suite"
 	"repro/internal/verify"
 )
@@ -66,81 +69,107 @@ type Options struct {
 	// KernelsOnly skips the application study (Tables IV and V and the
 	// figures), for quick runs.
 	KernelsOnly bool
-	// Progress, when non-nil, receives one line per completed stage.
+	// Progress, when non-nil, receives one line per finished campaign job,
+	// one at a time in completion order, and one for Table IV.
 	Progress func(string)
-	// NoCache disables the study-wide shared run cache. The study is
-	// byte-identical either way (results are pure functions of their cache
-	// key and simulated time is charged on hits); this is the escape hatch
-	// and the baseline for benchmarking the cache.
-	NoCache bool
-	// Precisions, when non-empty, runs the study over this precision
-	// ladder (e.g. "f64,f32,bf16") instead of the paper's two-level
-	// double/single axis. The default ladder changes nothing; deeper
-	// ladders are the ladder-depth cost benchmarks' study, not the
-	// paper's.
-	Precisions string
 }
 
-// Run regenerates the full study.
+// KernelSpecs returns Table III's campaign entries: each kernel under each
+// of KernelAlgorithms at KernelThreshold.
+func KernelSpecs() []harness.Spec {
+	return studySpecs(suite.Kernels(), KernelAlgorithms, KernelThreshold)
+}
+
+// AppSpecs returns Table V's campaign entries: each application under each
+// of AppAlgorithms, threshold-major in AppThresholds order.
+func AppSpecs() []harness.Spec {
+	var specs []harness.Spec
+	for _, th := range AppThresholds {
+		specs = append(specs, studySpecs(suite.Apps(), AppAlgorithms, th)...)
+	}
+	return specs
+}
+
+// studySpecs returns one entry per (benchmark, algorithm) at threshold,
+// benchmark-major, each named after its cell (e.g. "lavamd-cm-1e-03").
+func studySpecs(bs []bench.Benchmark, algos []string, threshold float64) []harness.Spec {
+	var specs []harness.Spec
+	for _, b := range bs {
+		for _, algo := range algos {
+			specs = append(specs, harness.Spec{
+				Name:     fmt.Sprintf("%s-%s-%.0e", strings.ToLower(b.Name()), strings.ToLower(algo), threshold),
+				BuildDir: b.Name(),
+				Build:    []string{"make"},
+				Clean:    []string{"make clean"},
+				Bin:      b.Name(),
+				Metric:   b.Metric(),
+				Analysis: harness.AnalysisSpec{ID: "floatsmith", Name: "floatSmith", Algorithm: algo, Threshold: threshold},
+			})
+		}
+	}
+	return specs
+}
+
+// Run regenerates the study. Tables III and V are one campaign; Table IV
+// is direct runner calls. One run cache and one compiler span the study:
+// its jobs search the same spaces, so most configurations have run before.
 func Run(opts Options) *Study {
 	s := &Study{
 		Kernel:     map[string]map[string]harness.Report{},
 		App:        map[float64]map[string]map[string]harness.Report{},
 		Conversion: map[string]ConversionRow{},
 	}
-	progress := opts.Progress
-	if progress == nil {
-		progress = func(string) {}
+	specs := KernelSpecs()
+	nKernel := len(specs)
+	if !opts.KernelsOnly {
+		specs = append(specs, AppSpecs()...)
 	}
-	// One cache spans the whole study: the six kernel algorithms (and the
-	// five application algorithms per threshold) search the same spaces,
-	// so most configurations any one job proposes have already run.
-	var cache *bench.Cache
-	if !opts.NoCache {
-		cache = bench.NewCache(nil)
+	campaign := harness.CampaignOptions{
+		Workers:  opts.Workers,
+		Seed:     Seed,
+		Cache:    bench.NewCache(nil),
+		Compiler: compile.New(nil),
 	}
-	sched := harness.Scheduler{Workers: opts.Workers, Cache: cache}
-
-	// Table III: kernels x 6 algorithms at the kernel threshold.
-	var ladder mp.Ladder
-	if opts.Precisions != "" {
-		l, err := mp.ParseLadder(opts.Precisions)
-		if err != nil {
-			panic("report: precisions: " + err.Error())
-		}
-		if !l.IsDefault() {
-			ladder = l
+	if opts.Progress != nil {
+		var mu sync.Mutex
+		done := 0
+		campaign.OnJobDone = func(idx int, _ harness.JobResult) {
+			mu.Lock()
+			defer mu.Unlock()
+			done++
+			opts.Progress(fmt.Sprintf("%s done (%d/%d)", specs[idx].Name, done, len(specs)))
 		}
 	}
-	var kernelJobs []harness.Job
-	for _, k := range suite.Kernels() {
-		for _, algo := range KernelAlgorithms {
-			j := makeJob(k, algo, KernelThreshold)
-			j.Spec.Analysis.Precisions = ladder
-			kernelJobs = append(kernelJobs, j)
-		}
+	results, err := harness.RunCampaign(specs, campaign)
+	if err != nil {
+		panic("report: study: " + err.Error())
 	}
-	for i, jr := range sched.Run(kernelJobs) {
+	for i, jr := range results {
 		if jr.Err != nil {
-			panic("report: kernel study: " + jr.Err.Error())
+			panic("report: study: " + jr.Err.Error())
 		}
-		job := kernelJobs[i]
-		name := job.Benchmark.Name()
-		if s.Kernel[name] == nil {
-			s.Kernel[name] = map[string]harness.Report{}
+		r := jr.Report
+		table := s.Kernel
+		if i >= nKernel {
+			if s.App[r.Threshold] == nil {
+				s.App[r.Threshold] = map[string]map[string]harness.Report{}
+			}
+			table = s.App[r.Threshold]
 		}
-		s.Kernel[name][jr.Report.Algorithm] = jr.Report
+		if table[r.Benchmark] == nil {
+			table[r.Benchmark] = map[string]harness.Report{}
+		}
+		table[r.Benchmark][r.Algorithm] = r
 	}
-	progress("kernel study complete (Table III)")
 	if opts.KernelsOnly {
 		return s
 	}
 
 	// Table IV: manual whole-program conversion per application. The
-	// runner joins the study cache: a reference or manual-single run the
-	// application study also needs executes once.
+	// runner joins the study's cache and compiler: a reference or
+	// manual-single run the application study also made executes once.
 	runner := bench.NewRunner(Seed)
-	runner.Cache = cache
+	runner.Cache, runner.Compiler = campaign.Cache, campaign.Compiler
 	for _, a := range suite.Apps() {
 		ref := runner.Reference(a)
 		single := runner.RunManualSingle(a)
@@ -155,53 +184,10 @@ func Run(opts Options) *Study {
 			QualityLoss: loss,
 		}
 	}
-	progress("manual conversion complete (Table IV)")
-
-	// Table V: applications x 5 algorithms x 3 thresholds.
-	for _, th := range AppThresholds {
-		var jobs []harness.Job
-		for _, a := range suite.Apps() {
-			for _, algo := range AppAlgorithms {
-				jobs = append(jobs, makeJob(a, algo, th))
-			}
-		}
-		s.App[th] = map[string]map[string]harness.Report{}
-		for i, jr := range sched.Run(jobs) {
-			if jr.Err != nil {
-				panic("report: app study: " + jr.Err.Error())
-			}
-			name := jobs[i].Benchmark.Name()
-			if s.App[th][name] == nil {
-				s.App[th][name] = map[string]harness.Report{}
-			}
-			s.App[th][name][jr.Report.Algorithm] = jr.Report
-		}
-		progress("application study complete at threshold " + formatThreshold(th) + " (Table V)")
+	if opts.Progress != nil {
+		opts.Progress("manual conversion complete (Table IV)")
 	}
 	return s
-}
-
-// makeJob builds the harness job for one (benchmark, algorithm,
-// threshold) cell with the canonical spec fields.
-func makeJob(b bench.Benchmark, algo string, threshold float64) harness.Job {
-	return harness.Job{
-		Spec: harness.Spec{
-			Name:     b.Name(),
-			BuildDir: b.Name(),
-			Build:    []string{"make"},
-			Clean:    []string{"make clean"},
-			Bin:      b.Name(),
-			Metric:   b.Metric(),
-			Analysis: harness.AnalysisSpec{
-				ID:        "floatsmith",
-				Name:      "floatSmith",
-				Algorithm: algo,
-				Threshold: threshold,
-			},
-		},
-		Benchmark: b,
-		Seed:      Seed,
-	}
 }
 
 // CellFilled reports whether a Table V cell has content. The paper leaves

@@ -3,6 +3,8 @@ package report
 import (
 	"math"
 	"os"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -98,6 +100,83 @@ func TestKernelStudyDeterminism(t *testing.T) {
 			if r.Evaluated != r2.Evaluated || r.Speedup != r2.Speedup || r.Quality != r2.Quality {
 				t.Errorf("%s/%s differs between runs: %+v vs %+v", name, algo, r, r2)
 			}
+		}
+	}
+}
+
+// TestStudySpecs checks the study's campaign entries: Table III's 60 and
+// Table V's 105, every one resolvable, each under its own name and cell,
+// and Table V threshold-major in AppThresholds order.
+func TestStudySpecs(t *testing.T) {
+	kernels, apps := KernelSpecs(), AppSpecs()
+	if len(kernels) != 60 || len(apps) != 105 {
+		t.Fatalf("spec lists have %d and %d entries, want 60 and 105", len(kernels), len(apps))
+	}
+	jobs, err := harness.JobsFromSpecs(slices.Concat(kernels, apps), Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type cell struct {
+		threshold float64
+		program   string
+		algorithm string
+	}
+	names := map[string]bool{}
+	cells := map[cell]bool{}
+	for i, j := range jobs {
+		if names[j.Spec.Name] {
+			t.Errorf("entry %d: name %q repeats", i, j.Spec.Name)
+		}
+		names[j.Spec.Name] = true
+		c := cell{j.Spec.Analysis.Threshold, j.Benchmark.Name(), j.Spec.Analysis.Algorithm}
+		if cells[c] {
+			t.Errorf("entry %d (%s): cell %+v repeats", i, j.Spec.Name, c)
+		}
+		cells[c] = true
+	}
+	for _, s := range kernels {
+		if s.Analysis.Threshold != KernelThreshold {
+			t.Errorf("%s: threshold %g, want %g", s.Name, s.Analysis.Threshold, KernelThreshold)
+		}
+	}
+	perThreshold := len(apps) / len(AppThresholds)
+	for i, s := range apps {
+		if want := AppThresholds[i/perThreshold]; s.Analysis.Threshold != want {
+			t.Errorf("Table V entry %d (%s): threshold %g, want %g", i, s.Name, s.Analysis.Threshold, want)
+		}
+	}
+	if got := apps[0].Name; got != "blackscholes-cm-1e-03" {
+		t.Errorf("first Table V entry is %q", got)
+	}
+}
+
+// TestRunIsKernelCampaign checks that a kernels-only study is the
+// library's campaign over KernelSpecs: the same Table III reports, and
+// one progress line per job.
+func TestRunIsKernelCampaign(t *testing.T) {
+	var lines []string
+	study := Run(Options{Workers: 2, KernelsOnly: true, Progress: func(m string) { lines = append(lines, m) }})
+	if len(lines) != 60 {
+		t.Errorf("Progress called %d times, want 60", len(lines))
+	}
+	results, err := harness.RunCampaign(KernelSpecs(), harness.CampaignOptions{Workers: 2, Seed: Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, algos := range study.Kernel {
+		n += len(algos)
+	}
+	if n != len(results) {
+		t.Errorf("study holds %d Table III reports, campaign %d", n, len(results))
+	}
+	for _, jr := range results {
+		if jr.Err != nil {
+			t.Fatal(jr.Err)
+		}
+		r := jr.Report
+		if got := study.Kernel[r.Benchmark][r.Algorithm]; !reflect.DeepEqual(got, r) {
+			t.Errorf("%s/%s: study report %+v, campaign report %+v", r.Benchmark, r.Algorithm, got, r)
 		}
 	}
 }

@@ -80,21 +80,24 @@ type Variable struct {
 type Graph struct {
 	vars   []Variable
 	parent []int // union-find forest over variable IDs
-	byName map[string]mp.VarID
+	byName map[varKey]mp.VarID
 }
+
+// varKey is a variable's (unit, name) declaration key.
+type varKey struct{ unit, name string }
 
 // NewGraph returns an empty dependence graph.
 func NewGraph() *Graph {
-	return &Graph{byName: make(map[string]mp.VarID)}
+	return &Graph{byName: make(map[varKey]mp.VarID)}
 }
 
 // Add declares a variable and returns its ID. The (unit, name) pair must be
 // unique; Add panics on duplicates because a duplicate always indicates a
 // benchmark declaration bug, never a runtime condition.
 func (g *Graph) Add(name, unit string, kind Kind) mp.VarID {
-	key := unit + "::" + name
+	key := varKey{unit, name}
 	if _, dup := g.byName[key]; dup {
-		panic(fmt.Sprintf("typedep: duplicate variable %s", key))
+		panic(fmt.Sprintf("typedep: duplicate variable %s::%s", unit, name))
 	}
 	id := mp.VarID(len(g.vars))
 	g.vars = append(g.vars, Variable{ID: id, Name: name, Unit: unit, Kind: kind})
@@ -146,7 +149,7 @@ func (g *Graph) Vars() []Variable { return g.vars }
 
 // Lookup resolves a (unit, name) pair to its variable ID.
 func (g *Graph) Lookup(name, unit string) (mp.VarID, bool) {
-	id, ok := g.byName[unit+"::"+name]
+	id, ok := g.byName[varKey{unit, name}]
 	return id, ok
 }
 

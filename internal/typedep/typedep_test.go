@@ -149,6 +149,33 @@ func TestDuplicateDeclarationPanics(t *testing.T) {
 	g.Add("x", "f", Scalar)
 }
 
+// TestNamesContainingSeparator checks that a variable is keyed by its
+// (unit, name) pair, not by a joined string: unit "a::b" with name "c" and
+// unit "a" with name "b::c" are two variables, while a true duplicate
+// still panics.
+func TestNamesContainingSeparator(t *testing.T) {
+	g := NewGraph()
+	first := g.Add("c", "a::b", Pointer)
+	second := g.Add("b::c", "a", Pointer)
+	if first == second {
+		t.Fatalf("both declarations got ID %d", first)
+	}
+	for _, v := range []struct {
+		name, unit string
+		want       mp.VarID
+	}{{"c", "a::b", first}, {"b::c", "a", second}} {
+		if id, ok := g.Lookup(v.name, v.unit); !ok || id != v.want {
+			t.Errorf("Lookup(%q, %q) = %d, %v; want %d", v.name, v.unit, id, ok, v.want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic on a true duplicate")
+		}
+	}()
+	g.Add("b::c", "a", Scalar)
+}
+
 func TestLookup(t *testing.T) {
 	g, ids := listingOneGraph()
 	id, ok := g.Lookup("res", "vect_mult")

@@ -475,9 +475,9 @@ func TuneContext(ctx context.Context, b BenchmarkProgram, opts TuneOptions) (Tun
 }
 
 // RunStudy regenerates the paper's full evaluation: Tables III, IV, V and
-// the data behind Figures 2a, 2b, and 3. It is expensive (the equivalent
-// of the paper's multi-day cluster campaign, compressed to under a
-// minute); progress, when non-nil, receives one line per completed stage.
+// the data behind Figures 2a, 2b, and 3, as one 165-job campaign plus
+// Table IV. It is expensive (the paper's multi-day cluster run, compressed
+// to under a minute); progress, when non-nil, gets a line per finished job.
 func RunStudy(workers int, progress func(string)) *Study {
 	return report.Run(report.Options{Workers: workers, Progress: progress})
 }
