@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race verify lint lint-report cover tables tables-check bench bench-smoke trace-smoke store-smoke fuzz-smoke
+.PHONY: build test race verify lint lint-report cover tables tables-check bench bench-smoke trace-smoke store-smoke mixpd-crash-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -102,6 +102,17 @@ store-smoke:
 	@mkdir -p artifacts
 	sh ./scripts/store-smoke.sh artifacts
 
+# mixpd-crash-smoke drives the service's crash recovery end to end
+# against the real binary on a free loopback port: run a few
+# configs/service-demo.yaml campaigns under mixpd -store, SIGKILL it
+# while a fresh-seed campaign runs, restart it on the same directory,
+# and assert /healthz reads ok, every campaign archived before the kill
+# serves byte-identical /results and SSE streams, and a re-submitted
+# seed returns the same results. It stops the one mixpd it runs on any
+# exit.
+mixpd-crash-smoke:
+	sh ./scripts/mixpd-crash-smoke.sh
+
 # bench-smoke compiles and runs every go test -bench loop once (CI's
 # guard against benchmark rot; no timing value). The loops are developer
 # tools; speed is measured by make bench. The root pattern covers every
@@ -133,3 +144,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime=10s ./internal/faults
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSpace$$' -fuzztime=10s ./internal/interchange
 	$(GO) test -run '^$$' -fuzz '^FuzzReadConfig$$' -fuzztime=10s ./internal/interchange
+	$(GO) test -run '^$$' -fuzz '^FuzzCheck$$' -fuzztime=10s ./internal/verify

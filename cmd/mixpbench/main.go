@@ -135,7 +135,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		canceled, err := tuneOne(ctx, os.Stdout, *tune, *algorithm, *threshold, *seed, *evallog, *precisions, *objective, tel)
+		// A fresh run cache, as a -config campaign gets by default: proposals
+		// the read-set index can answer are not executed again. Its
+		// counters go to no recorder, so the -metrics snapshot is unchanged.
+		cache := mixpbench.NewRunCache(nil)
+		canceled, err := tuneOne(ctx, os.Stdout, *tune, *algorithm, *threshold, *seed, *evallog, *precisions, *objective, tel, cache)
 		if err != nil {
 			fatal(err)
 		}
@@ -482,7 +486,10 @@ func listBenchmarks(w io.Writer) {
 	}
 }
 
-func tuneOne(ctx context.Context, w io.Writer, name, algorithm string, threshold float64, seed int64, evallog bool, precisions, objective string, tel *mixpbench.Telemetry) (canceled bool, err error) {
+// tuneOne runs one -tune search on cache and prints its result. The
+// cache memoises the search's executions; the output is the same as
+// without one.
+func tuneOne(ctx context.Context, w io.Writer, name, algorithm string, threshold float64, seed int64, evallog bool, precisions, objective string, tel *mixpbench.Telemetry, cache *mixpbench.RunCache) (canceled bool, err error) {
 	b, err := mixpbench.Benchmark(name)
 	if err != nil {
 		return false, err
@@ -493,6 +500,7 @@ func tuneOne(ctx context.Context, w io.Writer, name, algorithm string, threshold
 		Seed:       seed,
 		Trace:      evallog,
 		Telemetry:  tel,
+		Cache:      cache,
 		Precisions: precisions,
 		Objective:  objective,
 	})

@@ -44,7 +44,7 @@ func TestExportSpaceJSON(t *testing.T) {
 
 func TestTuneOneWithEvalLog(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := tuneOne(context.Background(), &buf, "hydro-1d", "DD", 1e-8, 0, true, "", "", nil); err != nil {
+	if _, err := tuneOne(context.Background(), &buf, "hydro-1d", "DD", 1e-8, 0, true, "", "", nil, mixpbench.NewRunCache(nil)); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -53,8 +53,49 @@ func TestTuneOneWithEvalLog(t *testing.T) {
 			t.Errorf("tune output missing %q:\n%s", frag, out)
 		}
 	}
-	if _, err := tuneOne(context.Background(), &buf, "hydro-1d", "annealing", 1e-8, 0, false, "", "", nil); err == nil {
+	if _, err := tuneOne(context.Background(), &buf, "hydro-1d", "annealing", 1e-8, 0, false, "", "", nil, mixpbench.NewRunCache(nil)); err == nil {
 		t.Error("expected error for unknown algorithm")
+	}
+}
+
+// TestTuneOneRunCache checks -tune's run cache on a small search,
+// K-means under GP at 1e-3 with the evaluation log: stdout and the
+// -metrics snapshot match, byte for byte, what mixpbench printed before
+// -tune had a cache (testdata/tune-kmeans-gp.*, written by that
+// version's "-tune kmeans -algorithm GP -threshold 1e-3 -evallog
+// -metrics"), and the cache executes fewer configurations than the
+// search evaluates.
+func TestTuneOneRunCache(t *testing.T) {
+	wantOut, err := os.ReadFile(filepath.Join("testdata", "tune-kmeans-gp.stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMetrics, err := os.ReadFile(filepath.Join("testdata", "tune-kmeans-gp.metrics"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := mixpbench.NewTelemetry(nil)
+	cache := mixpbench.NewRunCache(nil)
+	var out, metrics bytes.Buffer
+	if _, err := tuneOne(context.Background(), &out, "kmeans", "GP", 1e-3, 0, true, "", "", tel, cache); err != nil {
+		t.Fatal(err)
+	}
+	if err := tel.WriteMetrics(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), wantOut) {
+		t.Errorf("stdout differs:\n--- got ---\n%s\n--- want ---\n%s", out.Bytes(), wantOut)
+	}
+	if !bytes.Equal(metrics.Bytes(), wantMetrics) {
+		t.Errorf("-metrics differs:\n--- got ---\n%s\n--- want ---\n%s", metrics.Bytes(), wantMetrics)
+	}
+	// Every configuration, the reference included, is one miss; the
+	// read-set index answers shared ones without executing.
+	st := cache.Stats()
+	executed := st.Misses - cache.SharedExecutions()
+	if evaluated := uint64(15); st.Misses != evaluated+1 || executed >= evaluated {
+		t.Errorf("cache executed %d of %d lookups (%d shared), want fewer than the %d configurations evaluated",
+			executed, st.Misses, cache.SharedExecutions(), evaluated)
 	}
 }
 
@@ -96,7 +137,7 @@ func TestTuneOneEmitsTelemetry(t *testing.T) {
 	sink := mixpbench.NewJSONLSink(&events)
 	tel := mixpbench.NewTelemetry(sink)
 	var out bytes.Buffer
-	if _, err := tuneOne(context.Background(), &out, "hydro-1d", "DD", 1e-8, 0, false, "", "", tel); err != nil {
+	if _, err := tuneOne(context.Background(), &out, "hydro-1d", "DD", 1e-8, 0, false, "", "", tel, mixpbench.NewRunCache(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Close(); err != nil {
@@ -378,7 +419,7 @@ func TestOpenTelemetryWritesFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if _, err := tuneOne(context.Background(), &out, "iccg", "GP", 1e-8, 0, false, "", "", tel); err != nil {
+	if _, err := tuneOne(context.Background(), &out, "iccg", "GP", 1e-8, 0, false, "", "", tel, mixpbench.NewRunCache(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if err := closeTel(); err != nil {

@@ -2,9 +2,13 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -213,6 +217,98 @@ func TestServerRestartServesStoredCampaign(t *testing.T) {
 	if diag.Store == nil || diag.Store.Records == 0 {
 		t.Errorf("cachediag store section: %+v", diag.Store)
 	}
+}
+
+// parentArchiveDir holds a history archive written indented, as mixpd
+// wrote archives before they became compact JSON, with the /results
+// body and the whole SSE stream that mixpd served for it: the fixture
+// campaign, name "parent", seed 42, two workers.
+const parentArchiveDir = "../../internal/engine/testdata/parent-archive"
+
+// TestServerServesParentArchive checks the served bytes against the
+// committed ones the earlier version served: a fresh run of the same
+// campaign, live, must serve them and archive exactly the compact form
+// of the indented document; a boot over the indented archive and a boot
+// over the compact one must serve them too. Served means the /results
+// body and the whole SSE stream, done frame included.
+func TestServerServesParentArchive(t *testing.T) {
+	want := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join(parentArchiveDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	indented := want("c0001.json")
+	wantResults, wantEvents := want("results.json"), want("events.sse")
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, indented); err != nil {
+		t.Fatal(err)
+	}
+	compact.WriteByte('\n')
+
+	get := func(url string) []byte {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d: %s", url, resp.StatusCode, b)
+		}
+		return b
+	}
+	serve := func(label, dir string, run bool) {
+		t.Helper()
+		eng, st, err := openService(dir, engine.Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(newServer(eng, serverOptions{store: st}))
+		defer func() {
+			ts.Close()
+			eng.Close()
+			st.Close()
+		}()
+		if run {
+			if s := waitDone(t, ts, postCampaign(t, ts, "?name=parent&seed=42").ID); s.ID != "c0001" || s.State != engine.StateDone {
+				t.Fatalf("%s: campaign %s ended %s: %s", label, s.ID, s.State, s.Error)
+			}
+		} else if h := eng.Health(); h.Archived != 1 || !h.Healthy() {
+			t.Fatalf("%s: boot health %+v, want one archived campaign and no errors", label, h)
+		}
+		if got := get(ts.URL + "/campaigns/c0001/results"); !bytes.Equal(got, wantResults) {
+			t.Errorf("%s: /results differs:\n--- got ---\n%s\n--- want ---\n%s", label, got, wantResults)
+		}
+		if got := get(ts.URL + "/campaigns/c0001/events"); !bytes.Equal(got, wantEvents) {
+			t.Errorf("%s: SSE stream differs:\n--- got ---\n%s\n--- want ---\n%s", label, got, wantEvents)
+		}
+	}
+
+	live := t.TempDir()
+	serve("live", live, true)
+	written, err := os.ReadFile(filepath.Join(live, "campaigns", "c0001.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(written, compact.Bytes()) {
+		t.Errorf("archive written live is not the compact form of the indented one:\n--- written ---\n%s\n--- compact ---\n%s", written, compact.Bytes())
+	}
+	serve("restart over the compact archive", live, false)
+
+	old := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(old, "campaigns"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(old, "campaigns", "c0001.json"), indented, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	serve("boot over the indented archive", old, false)
 }
 
 // TestServerHealthzDraining locks the probe contract: a draining

@@ -297,21 +297,32 @@ func streamEvents(e *engine.Engine, w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
+	// Each batch of frames is encoded into one buffer and written once.
+	var frames []byte
 	n := after
 	for {
 		events, closed := log.Since(n)
+		frames = frames[:0]
 		for _, ev := range events {
+			frames = append(frames, "id: "...)
+			frames = strconv.AppendUint(frames, ev.Seq, 10)
+			frames = append(frames, "\nevent: "...)
+			frames = append(frames, ev.Name...)
+			frames = append(frames, "\ndata: "...)
 			data, err := json.Marshal(ev)
 			if err != nil {
 				data = []byte(`{"error":"unencodable event"}`)
 			}
-			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Name, data)
+			frames = append(frames, data...)
+			frames = append(frames, "\n\n"...)
 		}
 		n += len(events)
+		if closed {
+			frames = append(frames, "event: done\ndata: {}\n\n"...)
+		}
+		w.Write(frames)
 		flusher.Flush()
 		if closed {
-			fmt.Fprintf(w, "event: done\ndata: {}\n\n")
-			flusher.Flush()
 			return
 		}
 		if err := log.Wait(r.Context(), n); err != nil {

@@ -15,12 +15,15 @@ import (
 // archive's contents. An accepted archive written again by writeArchive
 // reads back unchanged (compared by JSON encoding, since NaN metrics
 // never compare equal). The seed corpus under testdata/fuzz holds an
-// archive writeArchive wrote, a torn copy, an unknown field, a
-// non-terminal state, a negative job count, and events whose seq
-// disagrees with their position, plus the archives the decoder once
-// accepted: a negative and a huge completed count (Results panicked
-// sizing its answer), a record count that disagrees with completed, an
-// ID that does not name the file, and data after the document.
+// archive writeArchive wrote when archives were indented, a torn copy,
+// an unknown field, a non-terminal state, a negative job count, and
+// events whose seq disagrees with their position; the same archive in
+// the compact form writeArchive writes now, alone, with an unknown
+// field inside an event, and with a skipped seq; and the archives the
+// decoder once accepted: a negative and a huge completed count (Results
+// panicked sizing its answer), a record count that disagrees with
+// completed, an ID that does not name the file, and data after the
+// document.
 func FuzzReadArchive(f *testing.F) {
 	const id = "c0001"
 	f.Fuzz(func(t *testing.T, doc []byte) {

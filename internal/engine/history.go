@@ -79,9 +79,11 @@ func (e *Engine) archiveCampaign(c *campaign) {
 	}
 }
 
-// writeArchive writes one archive document with full fsync discipline.
+// writeArchive writes one archive document, as compact JSON, with full
+// fsync discipline. readArchive reads it in any whitespace form, so
+// archives written indented by earlier versions still load.
 func (e *Engine) writeArchive(a archive) error {
-	b, err := json.MarshalIndent(a, "", "  ")
+	b, err := json.Marshal(a)
 	if err != nil {
 		return fmt.Errorf("engine: marshal campaign %s archive: %w", a.ID, err)
 	}

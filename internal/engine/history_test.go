@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -183,4 +185,77 @@ func TestEngineHistoryQuarantinesCorruptArchive(t *testing.T) {
 	if id2 == id {
 		t.Fatalf("ID %s reissued after corrupt boot", id2)
 	}
+}
+
+// TestArchiveFormsReadAlike locks the archive format change: writeArchive
+// writes compact JSON, and readArchive reads the indented documents
+// earlier versions wrote. The committed indented archive re-written by
+// writeArchive is exactly its compact form, and the compact fuzz seeds
+// are accepted or refused as their indented counterparts are: a written
+// archive reads, an unknown field inside an event and a skipped seq do
+// not.
+func TestArchiveFormsReadAlike(t *testing.T) {
+	indented, err := os.ReadFile(filepath.Join("testdata", "parent-archive", "c0001.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := readArchive(filepath.Join("testdata", "parent-archive", "c0001.json"))
+	if err != nil {
+		t.Fatalf("indented archive refused: %v", err)
+	}
+	w := &Engine{opts: Options{HistoryDir: t.TempDir()}}
+	if err := w.writeArchive(a); err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadFile(w.archivePath(a.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, indented); err != nil {
+		t.Fatal(err)
+	}
+	compact.WriteByte('\n')
+	if !bytes.Equal(written, compact.Bytes()) {
+		t.Errorf("writeArchive output is not the compact form of the indented archive:\n%s", written)
+	}
+
+	for _, c := range []struct {
+		seed string
+		ok   bool
+	}{
+		{"written", true},
+		{"compact-written", true},
+		{"unknown-field", false},
+		{"compact-unknown-event-field", false},
+		{"seq-out-of-position", false},
+		{"compact-skipped-seq", false},
+	} {
+		doc := fuzzSeed(t, c.seed)
+		path := filepath.Join(t.TempDir(), "c0001.json")
+		if err := os.WriteFile(path, doc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := readArchive(path); (err == nil) != c.ok {
+			t.Errorf("seed %s: readArchive error %v, want accepted %v", c.seed, err, c.ok)
+		}
+	}
+}
+
+// fuzzSeed decodes one FuzzReadArchive corpus file.
+func fuzzSeed(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzReadArchive", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, ok := strings.CutPrefix(string(raw), "go test fuzz v1\n[]byte(")
+	if !ok {
+		t.Fatalf("seed %s: not a []byte corpus file", name)
+	}
+	doc, err := strconv.Unquote(strings.TrimSuffix(strings.TrimSpace(body), ")"))
+	if err != nil {
+		t.Fatalf("seed %s: %v", name, err)
+	}
+	return []byte(doc)
 }

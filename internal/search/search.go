@@ -124,7 +124,8 @@ func (s *Space) NumRungs() int { return len(s.ladder) }
 // Expand materialises a unit-rung assignment as a variable-level
 // precision configuration. For ByVariable spaces expand reports, in its
 // second result, whether the configuration compiles: a selection that
-// demotes part of a cluster but not all of it does not.
+// demotes part of a cluster but not all of it does not. A ByCluster
+// configuration always compiles, since each unit is a whole cluster.
 //
 // When typeforgeExpand is true (the compositional strategies), each
 // selected variable pulls its whole type-change set to its deepest
@@ -162,6 +163,9 @@ func (s *Space) Expand(set Set, typeforgeExpand bool) (bench.Config, bool) {
 	cfg := make(bench.Config, len(rung))
 	for v, r := range rung {
 		cfg[v] = s.ladder[r]
+	}
+	if s.mode == ByCluster {
+		return cfg, true
 	}
 	valid := s.graph.Valid(func(v mp.VarID) mp.Prec { return cfg[v] })
 	return cfg, valid

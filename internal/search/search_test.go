@@ -3,6 +3,7 @@ package search
 import (
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/bench"
 	"repro/internal/kernels"
 	"repro/internal/mp"
@@ -85,6 +86,30 @@ func TestExpandValidity(t *testing.T) {
 	}
 	if cfg[0] != mp.F32 || cfg[1] != mp.F32 {
 		t.Error("expansion did not pull the cluster")
+	}
+}
+
+// TestByClusterExpandAlwaysValid locks the reason Expand skips
+// Graph.Valid on ByCluster spaces: every unit is a whole cluster, so any
+// rung assignment, on any port's graph and any ladder, compiles.
+func TestByClusterExpandAlwaysValid(t *testing.T) {
+	ladder, err := mp.ParseLadder("f64,f32,bf16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range append(kernels.All(), apps.All()...) {
+		space := NewSpaceWithLadder(b.Graph(), ByCluster, ladder)
+		n := space.NumUnits()
+		for k := 0; k < 64; k++ {
+			set := NewSet(n)
+			for i := 0; i < n; i++ {
+				set.SetRung(i, uint8((i*7+k*3+i*k)%3))
+			}
+			cfg, valid := space.Expand(set, false)
+			if !valid || !b.Graph().Valid(func(v mp.VarID) mp.Prec { return cfg[v] }) {
+				t.Fatalf("%s: set %d: Expand valid %v, Graph.Valid disagrees or refuses", b.Name(), k, valid)
+			}
+		}
 	}
 }
 

@@ -16,12 +16,12 @@
 package telemetry
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -169,16 +169,27 @@ type series struct {
 	h      *Histogram
 }
 
+// seriesKey identifies a series by its name and canonical label block.
+type seriesKey struct{ name, labels string }
+
 // Registry holds a process's metrics. The zero value is not usable; call
 // NewRegistry. A nil *Registry is a valid no-op receiver.
+//
+// A series is rendered once, when it is registered. Lookups go through
+// an index keyed by the caller's own name and label strings, so asking
+// again for a series that exists renders, sorts and allocates nothing.
 type Registry struct {
 	mu     sync.Mutex
-	series map[string]*series
+	series map[seriesKey]*series
+	// lookup maps appendLookupKey(name, labels), the labels in the
+	// caller's order, to the series they render to. Two orders of the same pairs
+	// are two entries for one series.
+	lookup map[string]*series
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{series: make(map[string]*series)}
+	return &Registry{series: make(map[seriesKey]*series), lookup: make(map[string]*series)}
 }
 
 // labelBlock renders alternating key/value pairs into the canonical
@@ -187,44 +198,62 @@ func labelBlock(labels []string) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	if len(labels)%2 != 0 {
-		panic("telemetry: labels must be alternating key/value pairs")
-	}
 	type kv struct{ k, v string }
 	pairs := make([]kv, 0, len(labels)/2)
 	for i := 0; i < len(labels); i += 2 {
 		pairs = append(pairs, kv{labels[i], labels[i+1]})
 	}
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
-	var b strings.Builder
-	b.WriteByte('{')
+	b := []byte{'{'}
 	for i, p := range pairs {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", p.k, p.v)
+		b = append(b, p.k...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, p.v)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return string(append(b, '}'))
+}
+
+// appendLookupKey appends the lookup index key of (name, labels): each
+// string prefixed by its length, so no byte inside a name, key or value
+// can make two different lists encode alike.
+func appendLookupKey(b []byte, name string, labels []string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(name)))
+	b = append(b, name...)
+	for _, l := range labels {
+		b = binary.AppendUvarint(b, uint64(len(l)))
+		b = append(b, l...)
+	}
+	return b
 }
 
 // get returns the series for (name, labels), creating it with mk on first
 // use and panicking if the name is already registered under another kind.
 func (r *Registry) get(name, kind string, labels []string, mk func(*series)) *series {
-	block := labelBlock(labels)
-	id := name + block
+	if len(labels)%2 != 0 {
+		panic("telemetry: labels must be alternating key/value pairs")
+	}
+	var buf [128]byte
+	key := appendLookupKey(buf[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s, ok := r.series[id]
+	s, ok := r.lookup[string(key)]
 	if !ok {
-		s = &series{name: name, labels: block, kind: kind}
-		mk(s)
-		r.series[id] = s
+		s = r.getRenderedLocked(name, labelBlock(labels), kind, mk)
+		r.lookup[string(key)] = s
 	}
 	if s.kind != kind {
-		panic(fmt.Sprintf("telemetry: metric %s registered as %s, requested as %s", id, s.kind, kind))
+		panic(kindMismatch(s, kind))
 	}
 	return s
+}
+
+// kindMismatch is the panic message for a series requested as a kind
+// other than the one it was registered as.
+func kindMismatch(s *series, kind string) string {
+	return fmt.Sprintf("telemetry: metric %s%s registered as %s, requested as %s", s.name, s.labels, s.kind, kind)
 }
 
 // Counter returns (registering on first use) the counter for name with the
@@ -348,17 +377,24 @@ func (r *Registry) AddSnapshot(snap Snapshot) {
 
 // getRendered is get for a label block that is already canonical.
 func (r *Registry) getRendered(name, block, kind string, mk func(*series)) *series {
-	id := name + block
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s, ok := r.series[id]
+	s := r.getRenderedLocked(name, block, kind, mk)
+	if s.kind != kind {
+		panic(kindMismatch(s, kind))
+	}
+	return s
+}
+
+// getRenderedLocked returns the series for (name, block), creating it
+// with mk on first use. The caller holds r.mu and checks the kind.
+func (r *Registry) getRenderedLocked(name, block, kind string, mk func(*series)) *series {
+	k := seriesKey{name, block}
+	s, ok := r.series[k]
 	if !ok {
 		s = &series{name: name, labels: block, kind: kind}
 		mk(s)
-		r.series[id] = s
-	}
-	if s.kind != kind {
-		panic(fmt.Sprintf("telemetry: metric %s registered as %s, requested as %s", id, s.kind, kind))
+		r.series[k] = s
 	}
 	return s
 }
