@@ -127,21 +127,22 @@ bench-smoke:
 # guard that the targets still build, run, and find nothing new in a
 # short search; the checked-in seed corpora under testdata/fuzz run on
 # every plain go test). go test fuzzes one target in one package per
-# invocation, so each target gets its own line. FuzzReadJournal, FuzzOpen
-# and FuzzReadArchive fsync per input, so minimizing one multi-kilobyte
-# input within the default 60 s would use the whole budget; they
-# minimize for 100 runs.
+# invocation, so each target gets its own line. Every target minimizes a
+# new input for 100 runs: under the default 60 s of minimization, one
+# new input can hold the workers for the rest of the budget (FuzzCheck
+# and FuzzReadConfig stopped executing after 6-9 s), and the fsync'ing
+# targets would spend it on one multi-kilobyte input.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzRoundBinary$$' -fuzztime=10s ./internal/mp
-	$(GO) test -run '^$$' -fuzz '^FuzzParseLadder$$' -fuzztime=10s ./internal/mp
-	$(GO) test -run '^$$' -fuzz '^FuzzParseKey$$' -fuzztime=10s ./internal/bench
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime=10s ./internal/bench
-	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s ./internal/yamlite
-	$(GO) test -run '^$$' -fuzz '^FuzzParseCampaign$$' -fuzztime=10s ./internal/harness
+	$(GO) test -run '^$$' -fuzz '^FuzzRoundBinary$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/mp
+	$(GO) test -run '^$$' -fuzz '^FuzzParseLadder$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/mp
+	$(GO) test -run '^$$' -fuzz '^FuzzParseKey$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/bench
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/bench
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/yamlite
+	$(GO) test -run '^$$' -fuzz '^FuzzParseCampaign$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/harness
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/harness
 	$(GO) test -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzReadArchive$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/engine
-	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime=10s ./internal/faults
-	$(GO) test -run '^$$' -fuzz '^FuzzReadSpace$$' -fuzztime=10s ./internal/interchange
-	$(GO) test -run '^$$' -fuzz '^FuzzReadConfig$$' -fuzztime=10s ./internal/interchange
-	$(GO) test -run '^$$' -fuzz '^FuzzCheck$$' -fuzztime=10s ./internal/verify
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/faults
+	$(GO) test -run '^$$' -fuzz '^FuzzReadSpace$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/interchange
+	$(GO) test -run '^$$' -fuzz '^FuzzReadConfig$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/interchange
+	$(GO) test -run '^$$' -fuzz '^FuzzCheck$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/verify

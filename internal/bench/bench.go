@@ -461,11 +461,6 @@ func (r *Runner) modelFingerprint() uint64 {
 		mix(c.Size)
 		mix(math.Float64bits(c.Bandwidth))
 	}
-	for i := range m.CastMatrix {
-		for j := range m.CastMatrix[i] {
-			mix(math.Float64bits(m.CastMatrix[i][j]))
-		}
-	}
 	for _, f := range m.EnergyModel.FlopJoules {
 		mix(math.Float64bits(f))
 	}

@@ -19,7 +19,6 @@ func TestModelFingerprintSensitivity(t *testing.T) {
 		{"Machine.Rate32", func(r *Runner) { r.Machine.Rate32 *= 2 }},
 		{"Machine.Rate16", func(r *Runner) { r.Machine.Rate16 *= 2 }},
 		{"Machine.CastRate", func(r *Runner) { r.Machine.CastRate *= 2 }},
-		{"Machine.CastMatrix", func(r *Runner) { r.Machine.CastMatrix[1][2] = 5e9 }},
 		{"Machine.DRAMBandwidth", func(r *Runner) { r.Machine.DRAMBandwidth *= 2 }},
 		{"Machine.RunOverhead", func(r *Runner) { r.Machine.RunOverhead *= 2 }},
 		{"Machine.Caches len", func(r *Runner) { r.Machine.Caches = r.Machine.Caches[:2] }},

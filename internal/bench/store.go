@@ -23,9 +23,10 @@ import (
 // It is mixed into the store fingerprint, so a store written under an
 // older encoding is refused at Open rather than misdecoded.
 //
-// Version 2: Cost gained the CastPairs width-class matrix (9 extra
-// counter words) and Result gained the modelled Energy.
-const resultCodecVersion = 2
+// Version 2: Cost gained a per-width-pair cast matrix (9 extra counter
+// words) and Result gained the modelled Energy. Version 3: the matrix is
+// gone; Cost is ten counter words.
+const resultCodecVersion = 3
 
 // nilSlice marks a nil slice in the encoding, distinguishing it from an
 // empty one so decoded results are deep-equal to the originals.
@@ -81,7 +82,7 @@ func DecodeResult(b []byte) (Result, error) {
 		return r, fmt.Errorf("bench: result codec version %d, this build reads %d", v, resultCodecVersion)
 	}
 	r.Output.Values = d.floatSlice()
-	var words [19]uint64
+	var words [10]uint64
 	for i := range words {
 		words[i] = d.u64()
 	}
@@ -112,40 +113,22 @@ func DecodeResult(b []byte) (Result, error) {
 	return r, nil
 }
 
-// costWords flattens a Cost into its counter words, in field order: the
-// ten historical counters followed by the CastPairs matrix in row-major
-// order.
-func costWords(c mp.Cost) [19]uint64 {
-	w := [19]uint64{
+// costWords flattens a Cost into its counter words, in field order.
+func costWords(c mp.Cost) [10]uint64 {
+	return [10]uint64{
 		c.Flops64, c.Flops32, c.Flops16, c.Casts,
 		c.Bytes64, c.Bytes32, c.Bytes16,
 		c.Footprint64, c.Footprint32, c.Footprint16,
 	}
-	k := 10
-	for i := range c.CastPairs {
-		for j := range c.CastPairs[i] {
-			w[k] = c.CastPairs[i][j]
-			k++
-		}
-	}
-	return w
 }
 
 // costFromWords is the inverse of costWords.
-func costFromWords(w [19]uint64) mp.Cost {
-	c := mp.Cost{
+func costFromWords(w [10]uint64) mp.Cost {
+	return mp.Cost{
 		Flops64: w[0], Flops32: w[1], Flops16: w[2], Casts: w[3],
 		Bytes64: w[4], Bytes32: w[5], Bytes16: w[6],
 		Footprint64: w[7], Footprint32: w[8], Footprint16: w[9],
 	}
-	k := 10
-	for i := range c.CastPairs {
-		for j := range c.CastPairs[i] {
-			c.CastPairs[i][j] = w[k]
-			k++
-		}
-	}
-	return c
 }
 
 // appendFloatSlice appends a nil-aware float64 slice.

@@ -3,9 +3,12 @@ package bench
 import (
 	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/mp"
@@ -245,7 +248,9 @@ func TestStoreTierAllocatesOneRecordCopy(t *testing.T) {
 // is the record that was written. The re-encoding is also one
 // allocation of exactly its length. The seed corpus under testdata/fuzz
 // covers nil and empty slices, NaN and infinity bits, a profile, and
-// truncated, trailing-byte, wrong-version, and oversized-length payloads.
+// truncated, trailing-byte, wrong-version, previous-version, and
+// oversized-length payloads; TestDecodeResultCorpus keeps each seed on
+// the path it was written for.
 func FuzzDecodeResult(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r, err := DecodeResult(b)
@@ -260,4 +265,74 @@ func FuzzDecodeResult(f *testing.F) {
 			t.Fatalf("EncodeResult(nil, r) returned %d bytes in a slice of capacity %d, want one exact-size allocation", len(enc), cap(enc))
 		}
 	})
+}
+
+// TestDecodeResultCorpus checks that FuzzDecodeResult's seeds are
+// written in the current codec version and still reach the decoder path
+// each was written for: the seeds meant to decode do decode and re-encode
+// to themselves, and every other seed is refused with its own error, not
+// with a version mismatch it was not written to test. A codec change
+// that leaves the corpus behind fails here.
+func TestDecodeResultCorpus(t *testing.T) {
+	const accepted = ""
+	wantErr := map[string]string{
+		"empty":                    "codec version 0", // the missing version byte reads as 0
+		"empty-slices":             accepted,
+		"nil-slices":               accepted,
+		"non-finite":               accepted,
+		"oversized-profile-length": "profile length",
+		"oversized-value-length":   "value slice length",
+		"previous-version":         "codec version 2",
+		"profile":                  accepted,
+		"trailing-byte":            "trailing bytes",
+		"truncated":                "truncated",
+		"wrong-version":            "codec version 1",
+	}
+	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeResult")
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(wantErr) {
+		t.Errorf("corpus holds %d seeds, this test classifies %d", len(files), len(wantErr))
+	}
+	for _, f := range files {
+		want, ok := wantErr[f.Name()]
+		if !ok {
+			t.Errorf("seed %s is not classified", f.Name())
+			continue
+		}
+		b := readCorpusBytes(t, filepath.Join(dir, f.Name()))
+		r, err := DecodeResult(b)
+		switch {
+		case want == accepted && err != nil:
+			t.Errorf("seed %s: %v", f.Name(), err)
+		case want == accepted && !bytes.Equal(EncodeResult(nil, r), b):
+			t.Errorf("seed %s does not re-encode to itself", f.Name())
+		case want != accepted && (err == nil || !strings.Contains(err.Error(), want)):
+			t.Errorf("seed %s: error %v, want one mentioning %q", f.Name(), err, want)
+		}
+	}
+}
+
+// readCorpusBytes reads the single []byte value of a fuzz corpus file.
+func readCorpusBytes(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(lines) != 2 || lines[0] != "go test fuzz v1" {
+		t.Fatalf("%s is not a one-value corpus file", path)
+	}
+	lit, ok := strings.CutPrefix(lines[1], "[]byte(")
+	if !ok || !strings.HasSuffix(lit, ")") {
+		t.Fatalf("%s does not hold a []byte value", path)
+	}
+	s, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(s)
 }

@@ -19,14 +19,9 @@ type Cost struct {
 	Flops32 uint64
 	Flops16 uint64
 	// Casts counts conversions between precisions introduced by the
-	// configuration (format moves at assignment boundaries).
+	// configuration (format moves at assignment boundaries and on file
+	// input and output), whatever formats they move between.
 	Casts uint64
-	// CastPairs splits the attributable part of Casts by the width-class
-	// pair [from][to] of the conversion (0: 8-byte, 1: 4-byte, 2: 2-byte
-	// containers). A machine model with a cast matrix prices each pair
-	// separately; conversions recorded without pair attribution (AddCasts)
-	// appear only in the Casts total.
-	CastPairs [3][3]uint64
 	// Bytes64, Bytes32, and Bytes16 count bytes of array traffic at each
 	// element width (loads plus stores). Scalar variables live in
 	// registers and do not contribute.
@@ -47,11 +42,6 @@ func (c *Cost) Add(o Cost) {
 	c.Flops32 += o.Flops32
 	c.Flops16 += o.Flops16
 	c.Casts += o.Casts
-	for i := range c.CastPairs {
-		for j := range c.CastPairs[i] {
-			c.CastPairs[i][j] += o.CastPairs[i][j]
-		}
-	}
 	c.Bytes64 += o.Bytes64
 	c.Bytes32 += o.Bytes32
 	c.Bytes16 += o.Bytes16

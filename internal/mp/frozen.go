@@ -58,14 +58,6 @@ func (t *Tape) flushMeter() {
 	if t.pendCasts != 0 {
 		t.cost.Casts += t.pendCasts * t.scale
 		t.pendCasts = 0
-		for i := range t.pendCastPairs {
-			for j := range t.pendCastPairs[i] {
-				if n := t.pendCastPairs[i][j]; n != 0 {
-					t.cost.CastPairs[i][j] += n * t.scale
-					t.pendCastPairs[i][j] = 0
-				}
-			}
-		}
 	}
 	for v := range t.pendVar {
 		p := &t.pendVar[v]
@@ -97,7 +89,6 @@ func (t *Tape) Reset() {
 	clear(t.pendVar)
 	t.pendFlops = [3]uint64{}
 	t.pendCasts = 0
-	t.pendCastPairs = [3][3]uint64{}
 	// Swap the just-finished run's arrays into the recycle pool (reuse
 	// discards their pending traffic); the slice previously used as the
 	// pool becomes the (emptied) live list.

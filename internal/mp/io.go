@@ -146,7 +146,7 @@ func ReadInto(r io.Reader, stored Prec, dst *Array) error {
 		return err
 	}
 	if stored != dst.Prec() {
-		dst.tape.AddCastsBetween(stored, dst.Prec(), uint64(dst.Len()))
+		dst.tape.AddCasts(uint64(dst.Len()))
 	}
 	dst.charge(uint64(dst.Len()))
 	return nil
@@ -159,7 +159,7 @@ func ReadInto(r io.Reader, stored Prec, dst *Array) error {
 // approximate and exact runs byte-compatibly.
 func WriteFrom(w io.Writer, stored Prec, src *Array) error {
 	if stored != src.Prec() {
-		src.tape.AddCastsBetween(src.Prec(), stored, uint64(src.Len()))
+		src.tape.AddCasts(uint64(src.Len()))
 	}
 	src.charge(uint64(src.Len()))
 	return WriteValues(w, stored, src.data)

@@ -24,7 +24,6 @@ var readCases = map[string]struct {
 }{
 	"Tape.AddBytes":        {func(t *Tape) { t.AddBytes(F32, 8) }, nil},
 	"Tape.AddCasts":        {func(t *Tape) { t.AddCasts(2) }, nil},
-	"Tape.AddCastsBetween": {func(t *Tape) { t.AddCastsBetween(F64, F32, 2) }, nil},
 	"Tape.AddFlops":        {func(t *Tape) { t.AddFlops(F32, 3) }, nil},
 	"Tape.Assign":          {func(t *Tape) { t.Assign(0, 1.5, 1, 1, 3) }, []VarID{0, 1, 3}},
 	"Tape.ComputeOnly":     {func(t *Tape) { t.ComputeOnly() }, nil},

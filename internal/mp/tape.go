@@ -47,13 +47,12 @@ type Tape struct {
 	reuseCursor int
 
 	// Deferred arithmetic meters: Assign counts unscaled flops per
-	// expression width class, casts (total and by width-class pair), and
-	// per-variable attribution here, and flushMeter multiplies the sums
-	// through the scale once per observation point.
-	pendFlops     [3]uint64
-	pendCasts     uint64
-	pendCastPairs [3][3]uint64
-	pendVar       []VarProfile
+	// expression width class, casts, and per-variable attribution here,
+	// and flushMeter multiplies the sums through the scale once per
+	// observation point.
+	pendFlops [3]uint64
+	pendCasts uint64
+	pendVar   []VarProfile
 
 	// rec/rep attach an input-stream recorder or replayer (see Stream).
 	rec *streamRecorder
@@ -236,17 +235,9 @@ func (t *Tape) AddFlops(p Prec, n uint64) {
 	}
 }
 
-// AddCasts records n precision-conversion operations with no width-pair
-// attribution (they price at the machine's scalar cast rate).
+// AddCasts records n precision-conversion operations that are not tied
+// to an Assign site, such as the conversions of mixed-precision file IO.
 func (t *Tape) AddCasts(n uint64) { t.cost.Casts += n * t.scale }
-
-// AddCastsBetween records n conversions between formats a and b,
-// attributed to their width-class pair so a machine model with a cast
-// matrix can price them; the Casts total includes them.
-func (t *Tape) AddCastsBetween(a, b Prec, n uint64) {
-	t.cost.Casts += n * t.scale
-	t.cost.CastPairs[a.wclass()][b.wclass()] += n * t.scale
-}
 
 // AddBytes records n bytes of array traffic at precision p (by width
 // class), for work that is not routed through an Array accessor.
@@ -273,17 +264,16 @@ func (t *Tape) AddBytes(p Prec, n uint64) {
 func (t *Tape) Assign(dst VarID, x float64, flops uint64, srcs ...VarID) float64 {
 	d := &t.vars[dst]
 	d.read = true
-	dp, dc := d.prec, d.class
+	dp := d.prec
 	pv := &t.pendVar[dst]
 	// Expression precision: the widest operand wins (widerPrec). Equal
 	// ranks mean equal widths and so the same class.
-	er, ec := d.rank, dc
+	er, ec := d.rank, d.class
 	for _, s := range srcs {
 		sv := &t.vars[s]
 		sv.read = true
 		if sv.prec != dp {
 			t.pendCasts++
-			t.pendCastPairs[sv.class][dc]++
 			pv.Casts++
 		}
 		if sv.rank > er {

@@ -58,16 +58,9 @@ type Machine struct {
 	Rate32 float64
 	Rate16 float64
 	// CastRate is the rate of precision-conversion instructions in
-	// casts/second.
+	// casts/second. Every conversion prices at this one rate, whatever
+	// formats it moves between.
 	CastRate float64
-	// CastMatrix optionally prices conversions per width-class pair
-	// [from][to] in casts/second (classes 0, 1, 2 for 8-, 4-, 2-byte
-	// containers). A zero matrix - the default - prices every cast at
-	// CastRate through the exact legacy expression, so models that never
-	// set it are bit-identical to the pre-ladder runtime; a zero entry in
-	// an otherwise set matrix also falls back to CastRate. Casts recorded
-	// without pair attribution always price at CastRate.
-	CastMatrix [3][3]float64
 	// EnergyModel prices the same work counters in joules; see Energy.
 	EnergyModel EnergyModel
 	// Caches lists the hierarchy from smallest to largest; a working set
@@ -111,19 +104,6 @@ func Default() Machine {
 	}
 }
 
-// Rate returns the sustained floating-point rate in flops/second for a
-// width class (0, 1, 2 for 8-, 4-, 2-byte containers).
-func (m Machine) Rate(class int) float64 {
-	switch class {
-	case 1:
-		return m.Rate32
-	case 2:
-		return m.Rate16
-	default:
-		return m.Rate64
-	}
-}
-
 // Bandwidth returns the bytes/second the hierarchy sustains for a resident
 // working set of the given size.
 func (m Machine) Bandwidth(workingSet uint64) float64 {
@@ -146,34 +126,7 @@ func (m Machine) Time(c mp.Cost) float64 {
 	if mem > t {
 		t = mem
 	}
-	return m.RunOverhead + t + m.castTime(c)
-}
-
-// castTime prices the run's precision conversions. With a zero CastMatrix
-// this is exactly the legacy Casts/CastRate expression - the same float
-// operations in the same order, which keeps default-machine campaigns
-// bit-identical. With a matrix, pair-attributed casts price per entry and
-// the unattributed remainder stays at CastRate.
-func (m Machine) castTime(c mp.Cost) float64 {
-	if m.CastMatrix == ([3][3]float64{}) {
-		return float64(c.Casts) / m.CastRate
-	}
-	var t float64
-	var attributed uint64
-	for i := range c.CastPairs {
-		for j, n := range c.CastPairs[i] {
-			if n == 0 {
-				continue
-			}
-			attributed += n
-			r := m.CastMatrix[i][j]
-			if r == 0 {
-				r = m.CastRate
-			}
-			t += float64(n) / r
-		}
-	}
-	return t + float64(c.Casts-attributed)/m.CastRate
+	return m.RunOverhead + t + float64(c.Casts)/m.CastRate
 }
 
 // EnergyModel prices the work counters of one execution in joules: a
@@ -253,46 +206,5 @@ func Measure(modelTime float64, runs int, rng *rand.Rand) Measurement {
 		Mean:  sum / float64(runs-2),
 		Runs:  runs,
 		Total: total,
-	}
-}
-
-// Speedup returns baseline/candidate, the paper's SU metric (higher is
-// better, 1.0 means no change).
-func Speedup(baseline, candidate float64) float64 {
-	return baseline / candidate
-}
-
-// Accelerator returns a GPU-class machine model for half-precision
-// extension studies: the 2:1 rate laddering per precision level that
-// tensor-free accelerator SIMT pipelines exhibit, a large software-managed
-// last-level cache standing in for shared memory plus L2, and
-// high-bandwidth device memory. The paper's evaluation never uses it; the
-// three-level example does.
-func Accelerator() Machine {
-	return Machine{
-		Name:     "accelerator",
-		Rate64:   100e9,
-		Rate32:   200e9,
-		Rate16:   400e9,
-		CastRate: 100e9,
-		Caches: []CacheLevel{
-			{Name: "L2", Size: 4 << 20, Bandwidth: 2000e9},
-		},
-		DRAMBandwidth: 500e9,
-		RunOverhead:   5e-5,
-		// Down-converts are cheap on accelerator pipelines (a pack
-		// instruction); widening back to 8-byte lanes costs more, and
-		// 2-byte <-> 8-byte moves are the most expensive pair.
-		CastMatrix: [3][3]float64{
-			{0, 200e9, 150e9},
-			{100e9, 0, 200e9},
-			{60e9, 150e9, 0},
-		},
-		EnergyModel: EnergyModel{
-			FlopJoules: [3]float64{8e-12, 4e-12, 2e-12},
-			ByteJoules: 15e-12,
-			CastJoules: 6e-12,
-			IdleWatts:  120,
-		},
 	}
 }

@@ -152,17 +152,8 @@ func TestMeasurePanicsOnTooFewRuns(t *testing.T) {
 	Measure(1.0, 2, rand.New(rand.NewSource(1)))
 }
 
-func TestSpeedup(t *testing.T) {
-	if got := Speedup(2.0, 1.0); got != 2.0 {
-		t.Errorf("Speedup = %g", got)
-	}
-	if got := Speedup(1.0, 2.0); got != 0.5 {
-		t.Errorf("Speedup = %g", got)
-	}
-}
-
-func TestAcceleratorModel(t *testing.T) {
-	m := Accelerator()
+func TestHalfPrecisionQuartersTime(t *testing.T) {
+	m := Default()
 	// Rate laddering: each narrower precision doubles throughput.
 	if m.Rate32 != 2*m.Rate64 || m.Rate16 != 2*m.Rate32 {
 		t.Errorf("rate ladder broken: %g/%g/%g", m.Rate64, m.Rate32, m.Rate16)
@@ -174,7 +165,8 @@ func TestAcceleratorModel(t *testing.T) {
 	if math.Abs(ratio-4) > 1e-9 {
 		t.Errorf("f64/f16 ratio = %g, want 4", ratio)
 	}
-	// Half-width traffic quarters memory time at fixed bandwidth.
+	// Half-width traffic quarters memory time at fixed bandwidth: both
+	// working sets exceed the last cache level.
 	wide := m.Time(mp.Cost{Bytes64: 4e9, Footprint64: 1 << 30})
 	narrow := m.Time(mp.Cost{Bytes16: 1e9, Footprint16: 1 << 28})
 	r := (wide - m.RunOverhead) / (narrow - m.RunOverhead)

@@ -222,16 +222,6 @@ func (s Set) Count() int {
 	return c
 }
 
-// RungSum returns the total rung depth across units, the generalisation
-// of Count that orders configurations by aggressiveness.
-func (s Set) RungSum() int {
-	c := 0
-	for _, d := range s.digits {
-		c += int(d)
-	}
-	return c
-}
-
 // Clone returns an independent copy.
 func (s Set) Clone() Set {
 	out := Set{digits: make([]uint8, len(s.digits)), n: s.n}

@@ -85,6 +85,9 @@ func TestPutGetReopen(t *testing.T) {
 	}
 }
 
+// TestDuplicatePutsAreDropped checks the store's rule for a key put more
+// than once: the first write wins and later ones write nothing, whether
+// they arrive in a later batch or in the same one.
 func TestDuplicatePutsAreDropped(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, Options{})
@@ -97,6 +100,33 @@ func TestDuplicatePutsAreDropped(t *testing.T) {
 	if st.Records != 1 || st.Puts != 1 {
 		t.Fatalf("duplicate puts not deduped: %+v", st)
 	}
+
+	// A later batch: the key is already indexed.
+	s.Put(testKey(1), testVal(2))
+	mustSync(t, s)
+	// One batch: the writer drains whatever the queue holds, so two Puts
+	// share a batch only by timing. The writer is idle after Sync, and
+	// runBatch is what it runs on each batch.
+	s.runBatch([]putReq{{key: testKey(3), val: testVal(3)}, {key: testKey(3), val: testVal(4)}})
+	check := func(s *Store, when string) {
+		t.Helper()
+		for key, want := range map[int]int{1: 1, 3: 3} {
+			if got, ok := s.Get(testKey(key)); !ok || !bytes.Equal(got, testVal(want)) {
+				t.Errorf("%s: Get(%s) = %x, %v; want the first value put, %x", when, testKey(key), got, ok, testVal(want))
+			}
+		}
+		if st := s.Stats(); st.Records != 2 || st.DeadBytes != 0 {
+			t.Errorf("%s: stats %+v, want 2 records and no dead bytes", when, st)
+		}
+	}
+	check(s, "before reopen")
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	// Had a second copy reached the segment, the later one would win here.
+	reopened := openTest(t, dir, Options{})
+	defer reopened.Close()
+	check(reopened, "after reopen")
 }
 
 func TestNilStore(t *testing.T) {

@@ -201,31 +201,6 @@ func (g *Graph) SameCluster(a, b mp.VarID) bool {
 	return g.find(int(a)) == g.find(int(b))
 }
 
-// Units returns the distinct Unit names in first-declaration order. The
-// hierarchical search uses this as the middle level of the program tree.
-func (g *Graph) Units() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, v := range g.vars {
-		if !seen[v.Unit] {
-			seen[v.Unit] = true
-			out = append(out, v.Unit)
-		}
-	}
-	return out
-}
-
-// UnitVars returns the IDs of the variables declared in unit, in ID order.
-func (g *Graph) UnitVars(unit string) []mp.VarID {
-	var out []mp.VarID
-	for _, v := range g.vars {
-		if v.Unit == unit {
-			out = append(out, v.ID)
-		}
-	}
-	return out
-}
-
 // SearchSpaceSize returns p^loc, the number of points in the search space
 // over loc locations with p precision levels (the paper's Section II). It
 // uses big.Int because realistic inventories (CFD: 195 variables) overflow

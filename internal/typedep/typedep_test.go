@@ -187,20 +187,6 @@ func TestLookup(t *testing.T) {
 	}
 }
 
-func TestUnitsAndUnitVars(t *testing.T) {
-	g, _ := listingOneGraph()
-	units := g.Units()
-	if len(units) != 2 || units[0] != "vect_mult" || units[1] != "foo" {
-		t.Errorf("Units = %v", units)
-	}
-	if got := len(g.UnitVars("vect_mult")); got != 4 {
-		t.Errorf("vect_mult has %d vars, want 4", got)
-	}
-	if got := len(g.UnitVars("foo")); got != 3 {
-		t.Errorf("foo has %d vars, want 3", got)
-	}
-}
-
 func TestSearchSpaceSize(t *testing.T) {
 	if got := SearchSpaceSize(2, 10); got.Cmp(big.NewInt(1024)) != 0 {
 		t.Errorf("2^10 = %v", got)
